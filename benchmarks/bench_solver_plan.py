@@ -17,7 +17,7 @@ The rendered table reports the per-call setup saved and its share of the
 total batch runtime.
 
 Since the struct-of-arrays pricing PR the one-shot prologue no longer
-re-emits and scalar-prices the launch schedule - ``predict_resolved``
+re-emits and scalar-prices the launch schedule - ``Solver.predict``
 binds the memoized shape-family structure and prices it in whole-array
 NumPy - so the setup gap the plan amortizes shrank from ~25x to a few x
 (the plan still skips session construction, capacity checks and
@@ -31,7 +31,6 @@ import numpy as np
 
 from conftest import save_result
 from repro.report import format_table
-from repro.sim.schedule import predict_resolved
 
 N = 128
 BATCH = 64
@@ -57,7 +56,7 @@ def _unplanned_setup(solver) -> None:
     np.zeros((N, N), dtype=storage.dtype)  # padded workspace
     # cost-model pricing of the full launch schedule (what the traced run
     # recomputes launch by launch on every call)
-    predict_resolved(N, cfg, check_capacity=False)
+    solver.predict(N, check_capacity=False)
 
 
 def test_plan_amortizes_setup(benchmark, solver):

@@ -12,9 +12,9 @@ Usage::
     python examples/autotune_study.py
 """
 
-import repro
+from repro import Solver
 from repro.report import format_seconds, format_table
-from repro.sim import KernelParams, predict
+from repro.sim import KernelParams
 from repro.tuning import grid_search
 
 
@@ -31,8 +31,8 @@ def main() -> None:
     body = []
     for backend, precision, n in configs:
         res = grid_search(n, backend, precision)
-        ref = predict(n, backend, precision, params=KernelParams(),
-                      check_capacity=False).total_s
+        ref = Solver(backend, precision, params=KernelParams()).predict(
+            n, check_capacity=False).total_s
         gain = 100.0 * (ref - res.best_seconds) / ref
         body.append([
             backend, precision, str(n), str(res.best),
@@ -48,9 +48,8 @@ def main() -> None:
     print("\nTILESIZE sweep, H100 FP32 (per-size optimum shifts):")
     for n in (512, 8192, 32768):
         times = {
-            ts: predict(n, "h100", "fp32",
-                        params=KernelParams(ts, min(ts, 32), 8),
-                        check_capacity=False).total_s
+            ts: Solver("h100", "fp32", params=KernelParams(ts, min(ts, 32), 8))
+            .predict(n, check_capacity=False).total_s
             for ts in (16, 32, 64, 128)
         }
         best = min(times, key=times.get)

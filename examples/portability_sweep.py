@@ -15,7 +15,6 @@ import numpy as np
 import repro
 from repro.errors import UnsupportedPrecisionError
 from repro.report import format_seconds, format_table
-from repro.sim import predict
 from repro.tuning import autotune
 
 
@@ -54,7 +53,7 @@ def predicted_curves() -> None:
                     row.append("OOM")
                     continue
                 params = autotune(n, be, p)
-                t = predict(n, be, p, params=params).total_s
+                t = repro.Solver(be, p, params=params).predict(n).total_s
                 row.append(format_seconds(t).strip())
         body.append(row)
     print()

@@ -20,22 +20,15 @@ solve, prediction, and plan:
 :meth:`Solver.solve` dispatches on shape — ``(m, n)`` rectangular inputs
 run the tall-QR preprocessing and ``(batch, n, n)`` stacks the batched
 driver — while :meth:`Solver.svd` returns full singular vectors and
-:meth:`Solver.predict` prices arbitrary sizes analytically (single-GPU,
-``batch=b`` - the batched launch graph, one grid covering all problems
-per step - multi-stream lookahead overlap with ``streams=k``,
-``ngpu=g`` - the launch graph sharded across devices with explicit comm
-nodes - ``nodes=m`` - cluster execution over a two-tier ``m x g``
-fabric, priced by the discrete-event simulator
-(:func:`repro.sim.simulate_events`) so queueing and link contention are
-modeled - or ``out_of_core=True`` - the graph rewritten to stream
-through a bounded device window with explicit host-link transfer
-nodes).  Every axis **composes**: ``predict(n, batch=b, ngpu=g,
-streams=k, out_of_core=True)`` runs one emit → partition → rewrite →
-price pipeline.  :meth:`Solver.tune` searches that whole space
-analytically — kernel hyperparameters × ``streams`` × ``ngpu`` ×
-window budget, plus the ``nodes`` cluster axis on request — and
-returns a ranked :class:`repro.tuning.TunePlan` whose winner is never
-analytically slower than the untuned default.
+:meth:`Solver.predict` prices arbitrary sizes analytically.  Its axes
+(``batch``, ``streams``, ``ngpu``, ``nodes``, ``topology``,
+``out_of_core``, ``workload``/``rank``) all compose through one emit →
+partition → rewrite → price pipeline (``docs/predicting.md`` tabulates
+them).  :meth:`Solver.tune` searches that whole space analytically —
+kernel hyperparameters × ``streams`` × ``ngpu`` × window budget, plus
+the ``nodes`` cluster axis on request — and returns a ranked
+:class:`repro.tuning.TunePlan` whose winner is never analytically
+slower than the untuned default.
 ``method="jacobi"`` runs the one-sided Jacobi cross-check through the
 same handle.
 
@@ -61,11 +54,11 @@ out-of-core spilling) and executed through the batched graph replay —
 bitwise identical to synchronous solves.
 
 Pass ``return_info=True`` to any solve for the simulated per-stage timing
-report.  The historical free functions (:func:`svdvals`,
+report.  The historical numeric free functions (:func:`svdvals`,
 :func:`svdvals_rect`, :func:`svdvals_batched`, :func:`svd_full`,
-:func:`predict`, :func:`jacobi_svdvals`, ...) remain available as thin
-shims over a one-shot ``Solver`` — no migration required, but new code
-should hold a handle.
+:func:`jacobi_svdvals`) remain thin shims over a one-shot ``Solver``.
+The ``predict*`` free functions were removed in 2.0.0: spell them
+``Solver(backend, precision).predict(n, ...)`` (see CHANGES.md).
 """
 
 from .backends import Backend, DeviceMatrix, DeviceSpec, list_backends, resolve_backend
@@ -74,7 +67,6 @@ from .core import (
     SVDInfo,
     SVDResult,
     jacobi_svdvals,
-    predict_batched,
     svd_full,
     svdvals,
     svdvals_batched,
@@ -92,18 +84,11 @@ from .errors import (
     WindowOverflowError,
 )
 from .precision import Precision, resolve_precision
-from .sim import (
-    REFERENCE_PARAMS,
-    KernelParams,
-    Topology,
-    predict,
-    predict_multi_gpu,
-    predict_out_of_core,
-)
+from .sim import REFERENCE_PARAMS, KernelParams, Topology
 from .solver import Solver, SvdPlan
 from .serve import ServiceStats, SvdService
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # unified handle surface (the recommended API)
@@ -137,12 +122,8 @@ __all__ = [
     "UnsupportedBackendError",
     "UnsupportedPrecisionError",
     "WindowOverflowError",
-    # legacy one-shot shims (delegate to Solver)
+    # legacy one-shot numeric shims (delegate to Solver)
     "jacobi_svdvals",
-    "predict",
-    "predict_batched",
-    "predict_multi_gpu",
-    "predict_out_of_core",
     "svd_full",
     "svdvals",
     "svdvals_batched",

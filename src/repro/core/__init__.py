@@ -18,7 +18,6 @@ from .workloads import WORKLOADS, WorkloadSpec, register_workload
 from .batched import (
     bind_batched_table,
     emit_batched_graph,
-    predict_batched,
     svdvals_batched,
 )
 from .jacobi import jacobi_svdvals
@@ -49,7 +48,6 @@ __all__ = [
     "lowrank_reference",
     "register_workload",
     "sketch_width",
-    "predict_batched",
     "svdvals_batched",
     "jacobi_svdvals",
     "qr_reduce_tall",

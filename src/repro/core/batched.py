@@ -25,11 +25,10 @@ list scheduler overlaps, :func:`repro.sim.partition.partition_graph`
 shards the batch round-robin across devices (comm only for the result
 gather), and :func:`repro.sim.outofcore.rewrite_out_of_core` streams
 whole problems through a bounded device window shared by every in-flight
-problem.  :func:`predict_batched_resolved` is the emit -> (partition ->)
-(rewrite ->) price pipeline behind ``Solver.predict(n, batch=b, ...)``;
-the pre-composition pricing survives as
-:func:`batched_closed_form_resolved`, the consistency oracle the tests
-pin the graph path against.  :func:`replay_batched_graph` replays any
+problem.  ``Solver.predict(n, batch=b, ...)`` runs it through the emit
+-> (partition ->) (rewrite ->) price pipeline; the pre-composition
+pricing survives as :func:`batched_closed_form_resolved`, the
+consistency oracle the tests pin the graph path against.  :func:`replay_batched_graph` replays any
 replayable batched graph (sharded or out-of-core) numerically, bitwise
 identical to solving each matrix alone.
 """
@@ -44,11 +43,9 @@ import numpy as np
 
 from ..backends.backend import BackendLike
 from ..config import SolveConfig
-from ..errors import CapacityError, InvalidParamsError, ShapeError
+from ..errors import CapacityError, ShapeError
 from ..precision import PrecisionLike
 from ..sim.costmodel import (
-    DEFAULT_COEFFS,
-    CostCoefficients,
     bidiag_solve_cost,
     brd_cost,
     brd_launch_count,
@@ -56,7 +53,6 @@ from ..sim.costmodel import (
     update_cost,
 )
 from ..sim.graph import (
-    AnalyticExecutor,
     LaunchGraph,
     LaunchNode,
     NumericExecutor,
@@ -77,7 +73,6 @@ __all__ = [
     "batched_closed_form_resolved",
     "bind_batched_table",
     "emit_batched_graph",
-    "predict_batched",
     "replay_batched_graph",
     "svdvals_batched",
 ]
@@ -448,120 +443,6 @@ def check_batched_capacity(
         )
 
 
-def predict_batched_resolved(
-    n: int,
-    batch: int,
-    config: SolveConfig,
-    ngpu: int = 1,
-    nodes: int = 1,
-    streams: int = 1,
-    out_of_core: bool = False,
-    link_gbs: Optional[float] = None,
-    fabric_gbs: Optional[float] = None,
-    budget_bytes: Optional[float] = None,
-    check_capacity: bool = True,
-):
-    """Batched-prediction implementation against a resolved config.
-
-    The single shared code path behind :meth:`repro.Solver.predict` with
-    ``batch=`` and the legacy :func:`predict_batched` shim - and since
-    the graph-native batching PR the full composition pipeline: emit the
-    batched launch graph (``streams`` chains), shard the batch round-robin
-    across ``ngpu`` devices with an explicit ``batch_gather`` comm node,
-    rewrite each device's chains against its memory budget
-    (``out_of_core=True``: whole problems stream through the window,
-    sharing the budget across in-flight problems), and price the result -
-    analytically for ``streams == 1``, through the device-aware list
-    scheduler otherwise (returning a
-    :class:`~repro.sim.timeline.StreamSchedule`).
-
-    ``nodes >= 2`` shards the batch round-robin across all
-    ``nodes * ngpu`` device ranks instead, with per-source gather comm
-    nodes priced at the tier they cross, and runs the discrete-event
-    simulator (:func:`repro.sim.events.simulate_events`) so concurrent
-    inter-node gathers queue on the destination's fabric lane (returns
-    an :class:`~repro.sim.events.EventSchedule`); it does not compose
-    with ``out_of_core``.
-
-    The plain single-device path (``ngpu=1, streams=1``, in-core) never
-    materializes nodes at all: it binds the shape-parametric structure
-    (:func:`bind_batched_table`) and prices the table.  Composed graphs
-    are memoized per axes through the same bound-structure memo, so
-    repeated predictions (``Solver.tune`` candidates, admission pricing)
-    re-emit nothing.
-    """
-    storage = config.require_precision("batched prediction")
-    if n < 1 or batch < 1:
-        raise ShapeError(f"need positive n and batch, got n={n}, batch={batch}")
-    if nodes < 1:
-        raise InvalidParamsError(
-            f"nodes must be a positive node count, got {nodes}"
-        )
-    if out_of_core and nodes > 1:
-        raise InvalidParamsError(
-            f"out_of_core streaming and multi-node execution do not "
-            f"compose yet; got out_of_core=True with nodes={nodes} "
-            f"(drop one of the two axes)"
-        )
-    if check_capacity and not out_of_core:
-        check_batched_capacity(n, batch, config, nodes * ngpu)
-
-    if nodes > 1:
-        from ..sim.events import simulate_events
-        from ..sim.partition import partition_graph
-
-        fabric = config.fabric_spec(link_gbs, fabric_gbs)
-
-        def _compose_cluster() -> LaunchGraph:
-            graph = emit_batched_graph(n, batch, config, streams=streams)
-            return partition_graph(graph, ngpu, nodes=nodes, fabric=fabric)
-
-        graph = bound_structure(
-            (
-                "bat_cluster_graph", config, n, batch,
-                min(streams, batch), nodes, ngpu, fabric,
-            ),
-            _compose_cluster,
-        )
-        return simulate_events(graph, config, storage, streams=streams)
-
-    if ngpu == 1 and streams == 1 and not out_of_core:
-        return price_table(
-            bind_batched_table(n, batch, config), config, storage, None
-        )
-
-    # lazy: the rewriters live in repro.sim, which core already imports,
-    # but partition/outofcore import this module's graph kinds
-    from ..sim.outofcore import rewrite_out_of_core
-    from ..sim.partition import partition_graph, price_partitioned
-    from ..sim.timeline import schedule_streams
-
-    link = config.link_spec(link_gbs) if ngpu > 1 else None
-
-    def _compose() -> LaunchGraph:
-        graph = emit_batched_graph(n, batch, config, streams=streams)
-        if ngpu > 1:
-            graph = partition_graph(graph, ngpu, link)
-        if out_of_core:
-            graph = rewrite_out_of_core(
-                graph, config, storage, budget_bytes=budget_bytes
-            )
-        return graph
-
-    graph = bound_structure(
-        (
-            "bat_graph", config, n, batch, min(streams, batch), ngpu, link,
-            out_of_core, budget_bytes,
-        ),
-        _compose,
-    )
-    if streams > 1:
-        return schedule_streams(graph, config, storage, streams)
-    if ngpu > 1:
-        return price_partitioned(graph, config, storage)
-    return AnalyticExecutor(config, storage).run(graph)
-
-
 def batched_closed_form_resolved(
     n: int, batch: int, config: SolveConfig
 ) -> TimeBreakdown:
@@ -648,32 +529,6 @@ def batched_closed_form_resolved(
         n=n, panel_s=panel_s, update_s=update_s, brd_s=brd_s,
         solve_s=solve_s, launches=launches, flops=flops, bytes=nbytes,
     )
-
-
-def predict_batched(
-    n: int,
-    batch: int,
-    backend: BackendLike,
-    precision: PrecisionLike,
-    params: Optional[KernelParams] = None,
-    coeffs: CostCoefficients = DEFAULT_COEFFS,
-) -> TimeBreakdown:
-    """Predict the simulated runtime of ``batch`` SVDs of order ``n``.
-
-    The schedule is the single-matrix schedule with every launch widened
-    ``batch``-fold: panel kernels run ``batch`` independent thread blocks
-    per step (they parallelize perfectly across problems), update kernels
-    process ``batch x width`` columns, and the stage-2/3 work scales
-    linearly while sharing launch overheads.  Thin shim over
-    :class:`repro.Solver`; compose with ``ngpu`` / ``streams`` /
-    ``out_of_core`` through :meth:`repro.Solver.predict` directly.
-    """
-    from ..solver import Solver
-
-    solver = Solver(
-        backend=backend, precision=precision, params=params, coeffs=coeffs
-    )
-    return solver.predict(n, batch=batch)
 
 
 def replay_batched_graph(
@@ -810,7 +665,11 @@ def svdvals_batched_resolved(
         )
     if not return_info:
         return out
-    bd = predict_batched_resolved(n, len(mats), batch_config)
+    check_batched_capacity(n, len(mats), batch_config)
+    bd = price_table(
+        bind_batched_table(n, len(mats), batch_config), batch_config,
+        storage, None,
+    )
     return out, bd
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..report import format_table
-from ..sim import Stage, predict
+from ..sim import Stage
+from ..solver import Solver
 
 __all__ = ["Fig6Row", "run", "render", "main", "FIG6_DEVICES"]
 
@@ -51,7 +52,7 @@ def run(
     rows: List[Fig6Row] = []
     for dev in devices:
         for n in sizes:
-            bd = predict(n, dev, precision, check_capacity=False)
+            bd = Solver(dev, precision).predict(n, check_capacity=False)
             fr = bd.stage_fractions()
             rows.append(
                 Fig6Row(

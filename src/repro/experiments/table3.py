@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..report import format_table
-from ..sim import KernelParams, predict
+from ..sim import KernelParams
+from ..solver import Solver
 from .common import SIZES_TABLE3
 
 __all__ = ["Table3Cell", "run", "render", "main", "CONFIGS"]
@@ -47,8 +48,9 @@ class Table3Cell:
 
 def _delta(n: int, backend: str, precision: str, a: KernelParams, b: KernelParams) -> float:
     """Percent runtime reduction going from params ``a`` to params ``b``."""
-    ta = predict(n, backend, precision, params=a, check_capacity=False).total_s
-    tb = predict(n, backend, precision, params=b, check_capacity=False).total_s
+    ta = Solver(backend, precision, params=a).predict(n, check_capacity=False)
+    tb = Solver(backend, precision, params=b).predict(n, check_capacity=False)
+    ta, tb = ta.total_s, tb.total_s
     return 100.0 * (ta - tb) / ta
 
 

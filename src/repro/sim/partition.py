@@ -260,6 +260,7 @@ def check_fleet_capacity(
     config,
     topology: Topology,
     weights: Optional[Tuple[float, ...]] = None,
+    batch: Optional[int] = None,
 ) -> None:
     """Raise :class:`CapacityError` if a rank's shard exceeds its memory.
 
@@ -267,14 +268,16 @@ def check_fleet_capacity(
     weighted tile-row quota (rounded up) plus one panel copy must fit
     that rank's *own* device memory - a weighted partition deliberately
     loads the fast devices heavier, so the uniform per-device bound does
-    not apply.  Uniform fleets of the handle's device delegate to
-    :func:`check_shard_capacity` exactly.
+    not apply.  With ``batch`` the quota is the rank's weighted share of
+    the problems instead, each whole ``n x n`` matrix resident.  Uniform
+    fleets of the handle's device delegate to :func:`check_shard_capacity`
+    exactly.
     """
     from ..core.tiling import ntiles
 
     storage = config.require_precision("fleet prediction")
-    total = topology.ngpu
-    if topology.is_uniform and topology.device == config.backend.device.name:
+    if (batch is None and topology.is_uniform
+            and topology.device == config.backend.device.name):
         check_shard_capacity(n, config, topology.per_node,
                              nodes=topology.nodes)
         return
@@ -285,11 +288,17 @@ def check_fleet_capacity(
     npad = nbt * ts
     total_w = float(sum(weights))
     for rank, (spec, w) in enumerate(zip(topology.specs(), weights)):
-        shard_rows_n = math.ceil(nbt * float(w) / total_w) * ts
-        shard_bytes = (shard_rows_n * npad + npad * ts) * storage.sizeof * 1.25
+        if batch is None:
+            shard_rows_n = math.ceil(nbt * float(w) / total_w) * ts
+            elems = shard_rows_n * npad + npad * ts
+            what = f"{n}x{n} {storage.name} matrix"
+        else:
+            elems = math.ceil(batch * float(w) / total_w) * n * n
+            what = f"batch of {batch} {n}x{n} {storage.name} matrices"
+        shard_bytes = elems * storage.sizeof * 1.25
         if shard_bytes > spec.mem_bytes:
             raise CapacityError(
-                f"{n}x{n} {storage.name} matrix sharded over {topology!r} "
+                f"{what} sharded over {topology!r} "
                 f"needs {shard_bytes / 2**30:.1f} GiB on rank {rank} "
                 f"({spec.name}, {spec.mem_gb} GiB) "
                 f"(use more devices or a smaller matrix)"

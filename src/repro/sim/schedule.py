@@ -1,17 +1,11 @@
-"""Analytic runtime prediction: price the launch graph without numerics.
+"""Prediction result type and the closed-form stage-1 launch count.
 
-The solver's launch schedule is fully static per problem shape.  Since the
-stage-graph refactor there is exactly *one* encoding of it - the
-:class:`~repro.sim.graph.LaunchGraph` emitted by
-:func:`repro.core.emit_svd_graph` - and this module is a thin wrapper that
-prices that graph with the :class:`~repro.sim.graph.AnalyticExecutor`.
-The launch sequence and its cost are computed without touching matrix
-data, which lets the benchmark harness price the paper's full size grid
-(up to 131072 for FP16 on H100) in milliseconds.
-
-Consistency guarantee: the numeric driver replays the *same* graph, so
-``predict(...)`` charges identical launches and per-stage seconds by
-construction (pinned by the property tests in ``tests/test_graph.py``).
+:class:`TimeBreakdown` is the per-stage attribution every analytic
+pricing returns (:meth:`repro.Solver.predict` prices the emitted
+:class:`~repro.sim.graph.LaunchGraph` without touching matrix data, so
+the paper's full size grid prices in milliseconds).  The numeric driver
+replays the *same* graph, so a prediction charges identical launches and
+per-stage seconds by construction (pinned by ``tests/test_graph.py``).
 
 Fused vs unfused (Figure 2): ``fused=True`` prices one FTSQRT + one FTSMQR
 launch per sweep; ``fused=False`` prices one TSQRT + one TSMQR launch per
@@ -22,16 +16,12 @@ scaling (:func:`stage1_launch_count` is the closed-form count).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..backends.backend import BackendLike
 from ..errors import ShapeError
-from ..precision import PrecisionLike
-from .costmodel import DEFAULT_COEFFS, CostCoefficients
-from .params import KernelParams
 from .tracing import Stage
 
-__all__ = ["TimeBreakdown", "predict", "stage1_launch_count"]
+__all__ = ["TimeBreakdown", "stage1_launch_count"]
 
 
 @dataclass
@@ -158,52 +148,3 @@ def stage1_launch_count(nbtiles: int, fused: bool = True) -> int:
         if r2 > 0:
             total += 2 if fused else 2 * r2
     return total
-
-
-def predict_resolved(
-    n: int, config, check_capacity: bool = True
-) -> TimeBreakdown:
-    """Single-matrix prediction against a resolved ``SolveConfig``.
-
-    The single shared code path behind :meth:`repro.Solver.predict` and
-    the legacy :func:`predict` shim: bind the shape-parametric sweep
-    structure to ``(n, config)`` (memoized; no per-tile node emission)
-    and price the struct-of-arrays table analytically.  Float-identical
-    to pricing ``emit_svd_graph(n, config, counted=True)`` node by node.
-    """
-    # the structure binder lives with the drivers; importing it lazily
-    # keeps repro.sim importable before repro.core
-    from ..core.svd import bind_svd_table
-
-    storage = config.require_precision("prediction")
-    if n < 1:
-        raise ShapeError(f"matrix order must be positive, got {n}")
-    if check_capacity:
-        config.backend.check_capacity(n, storage)
-    from .table import price_table
-
-    return price_table(bind_svd_table(n, config), config, storage, None)
-
-
-def predict(
-    n: int,
-    backend: BackendLike,
-    precision: PrecisionLike,
-    params: Optional[KernelParams] = None,
-    fused: bool = True,
-    coeffs: CostCoefficients = DEFAULT_COEFFS,
-    check_capacity: bool = True,
-) -> TimeBreakdown:
-    """Predict the simulated runtime of ``svdvals`` on an ``n x n`` matrix.
-
-    Parameters mirror :func:`repro.svdvals`; this function never executes
-    numerics and is safe for the paper's largest sizes.  Thin shim over
-    :class:`repro.Solver`.
-    """
-    from ..solver import Solver
-
-    solver = Solver(
-        backend=backend, precision=precision, params=params, coeffs=coeffs,
-        fused=fused,
-    )
-    return solver.predict(n, check_capacity=check_capacity)

@@ -18,9 +18,10 @@ True
 shims describing a uniform fleet of the handle's backend; passing both
 spellings raises a validation error naming the conflicting axes.  The
 core invariant (pinned by ``tests/test_partition.py``): a **uniform**
-topology of the handle's own device routes through exactly the legacy
-code path, so ``Topology.uniform(dev, g, nodes=m)`` produces graphs and
-prices byte-identical to ``ngpu=g, nodes=m``.  Heterogeneous fleets take
+topology of the handle's own device resolves to the same placement as
+the legacy axes before ``Solver.predict`` emits anything, so
+``Topology.uniform(dev, g, nodes=m)`` produces graphs and prices
+byte-identical to ``ngpu=g, nodes=m``.  Heterogeneous fleets take
 the cost-weighted path instead (see
 :func:`repro.sim.partition.shard_rows_weighted`).
 """

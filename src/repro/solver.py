@@ -13,10 +13,10 @@ math libraries (cuSOLVER handles, FFTW plans):
   run the two-stage QR driver, rectangular matrices the tall-QR
   preprocessing, 3-D stacks the batched driver — so callers stop choosing
   between ``svdvals`` / ``svdvals_rect`` / ``svdvals_batched`` by hand;
-* :meth:`Solver.predict` is the one prediction front door replacing the
-  four ``predict*`` variants (single-GPU, batched, multi-GPU, out-of-core);
-  its execution axes (``batch``, ``streams``, ``ngpu``, ``out_of_core``)
-  all compose through one emit -> partition -> rewrite -> price pipeline;
+* :meth:`Solver.predict` is the one prediction front door: every
+  execution axis (``batch``, ``streams``, ``ngpu``, ``nodes``,
+  ``topology``, ``out_of_core``, ``workload``) composes through one
+  emit -> partition -> rewrite -> price pipeline;
 * :meth:`Solver.tune` searches those axes analytically (plus the kernel
   hyperparameters) and returns a ranked :class:`~repro.tuning.TunePlan`
   that constructs the winning handle;
@@ -26,11 +26,10 @@ math libraries (cuSOLVER handles, FFTW plans):
   per-call setup entirely (results are bitwise identical to one-shot
   calls).
 
-Every legacy entry point (``repro.svdvals``, ``svdvals_rect``,
-``svdvals_batched``, ``svd_full``, ``predict``, ``predict_batched``,
-``predict_multi_gpu``, ``predict_out_of_core``) is now a thin shim over a
-one-shot ``Solver``, so there is exactly one dispatch point where batching,
-caching and multi-backend sharding can hook in.
+The legacy numeric entry points (``repro.svdvals``, ``svdvals_rect``,
+``svdvals_batched``, ``svd_full``) are thin shims over a one-shot
+``Solver``; the ``predict*`` free functions are gone, so predictions have
+exactly one dispatch point.
 
 Quickstart
 ----------
@@ -58,12 +57,12 @@ from .sim.costmodel import CostCoefficients, FabricSpec, LinkSpec
 from .sim.events import EventSchedule, simulate_events
 from .sim.graph import AnalyticExecutor
 from .sim.params import KernelParams
-from .sim.schedule import TimeBreakdown, predict_resolved
+from .sim.schedule import TimeBreakdown
 from .sim.timeline import StreamSchedule, schedule_streams
 from .core.batched import (
+    bind_batched_table,
     check_batched_capacity,
     emit_batched_graph,
-    predict_batched_resolved,
     svdvals_batched_resolved,
 )
 from .core.eigh import eigh_resolved, emit_eigh_graph
@@ -74,7 +73,7 @@ from .core.randomized import (
     svd_lowrank_resolved,
 )
 from .core.rectangular import emit_tallqr_graph, svdvals_rect_resolved
-from .core.svd import emit_svd_graph, svdvals_resolved
+from .core.svd import bind_svd_table, emit_svd_graph, svdvals_resolved
 from .core.tiling import ntiles
 from .core.vectors import svd_full_resolved
 from .sim.outofcore import rewrite_out_of_core
@@ -86,11 +85,18 @@ from .sim.partition import (
     partition_graph,
     price_partitioned,
 )
-from .sim.scaling import predict_multi_gpu_resolved, predict_out_of_core_resolved
-from .sim.table import bound_structure
+from .sim.table import bound_structure, price_table
 from .sim.topology import Topology, require_no_conflicts
 
 __all__ = ["Solver", "SvdPlan"]
+
+
+def _require_int(name: str, value, error=InvalidParamsError) -> None:
+    """Reject a non-integer count with a typed error (NumPy ints pass)."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, np.integer)
+    ):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 class Solver:
@@ -346,109 +352,45 @@ class Solver:
     ) -> Union[TimeBreakdown, StreamSchedule, EventSchedule]:
         """Predict the simulated runtime of an ``n x n`` solve.
 
-        One front door for every analytic model:
-
-        * default: the single-stream launch graph priced end to end;
-        * ``batch=b``: ``b`` problems through the batched launch graph -
-          one grid covers all problems per schedule step, so launch
-          overheads amortize across the batch;
-        * ``ngpu=g``: the emitted graph is sharded tile-row-wise across
-          ``g`` devices with explicit comm nodes (panel broadcast,
-          boundary exchange, band gather) and priced from the
-          partitioned graph - launch counts come from that graph, comm
-          time is reported as the breakdown's own ``comm_s`` component,
-          and ``ngpu=1`` reproduces single-device pricing exactly.
-          ``link_gbs`` overrides the interconnect bandwidth (default:
-          the backend's link - NVLink on H100/A100, Infinity Fabric on
-          MI250, ...; the handle's ``link=`` axis overrides the backend
-          default);
-        * ``nodes=m`` (m >= 2): cluster execution over an ``m x g``
-          two-tier topology - the graph is sharded across all
-          ``m * g`` device ranks, comm nodes are priced at the tier
-          they cross (node-local link vs inter-node fabric, hierarchical
-          panel broadcast spanning both), and the result comes from the
-          discrete-event simulator
-          (:func:`repro.sim.events.simulate_events`), which queues
-          launches on per-device streams and per-tier link lanes and so
-          reports queueing/contention the greedy scheduler cannot see
-          (returns an :class:`~repro.sim.events.EventSchedule`).
-          ``fabric_gbs`` overrides the inter-node fabric bandwidth (the
-          handle's ``fabric=`` axis overrides the default fabric);
-        * ``out_of_core=True``: host-resident execution beyond device
-          memory - the emitted graph is rewritten by
-          :func:`repro.sim.outofcore.rewrite_out_of_core` to stream
-          tile panels through a bounded device window with explicit
-          ``h2d_tile``/``d2h_tile`` transfer nodes, and transfer time is
-          reported as the breakdown's own ``io_s`` component (zero when
-          the problem fits; launch counts come from the rewritten
-          graph).  ``oc_budget_gb`` overrides the per-device window
-          budget (default: the backend's device memory);
-        * ``streams=k`` (k >= 2): lookahead execution across ``k``
-          streams - trailing updates are split so their remainders
-          overlap the next panel factorization, and the graph is priced
-          by the greedy critical-path scheduler (returns a
-          :class:`~repro.sim.timeline.StreamSchedule`).
-
-        Every execution axis **composes**: ``predict(n, ngpu=g,
-        streams=k)`` emits the lookahead graph, partitions it, and runs
-        the device-aware scheduler with ``k`` streams per device (comm
-        nodes occupy each device's link lane); adding
-        ``out_of_core=True`` partitions first, then rewrites each
-        device's shard against its own budget - under the scheduler the
-        transfers occupy a dedicated per-device host-link lane, so
-        prefetch overlaps compute.  ``batch`` runs the same pipeline on
-        the batched launch graph: ``streams=k`` splits the batch into
-        ``k`` concurrent chains, ``ngpu=g`` shards it round-robin across
-        devices (comm only for the result gather), and
-        ``out_of_core=True`` streams whole problems through the device
-        window, the budget shared across every in-flight problem.
-
-        ``check_capacity`` applies to every in-core mode; with
-        ``ngpu > 1`` it checks the *per-device* footprint - the tile-row
-        shard for square predictions, the round-robin sub-batch for
-        batched ones - so multi-GPU extends capacity (pass
-        ``check_capacity=False`` to price beyond it).  Out-of-core
-        predictions skip the device capacity check - exceeding it is
-        their purpose - but raise
-        :class:`~repro.errors.CapacityError` when the budget cannot hold
-        even the minimum streaming window.  Requires a handle
-        constructed with an explicit precision.
-
-        ``topology=`` (a :class:`repro.Topology`) is the fleet spelling
-        of the device axes and is mutually exclusive with
-        ``ngpu``/``nodes``/``link_gbs``/``fabric_gbs`` (passing both
-        raises naming the conflicting axes).  A *uniform* topology of
-        the handle's own device routes through exactly the legacy paths
-        above — graphs and prices are byte-identical to the ``ngpu=``
-        spelling.  A heterogeneous fleet (mixed device types, or a
-        uniform fleet of a different device than the handle's) takes the
-        cost-weighted path: every sweep's tile rows are sharded
-        proportionally to each rank's cost-model throughput
-        (:func:`repro.sim.partition.fleet_weights`), per-rank compute
-        durations are scaled to that rank's own speed, and the result
-        always comes from the discrete-event simulator (an
-        :class:`~repro.sim.events.EventSchedule` whose ``breakdown()``
-        carries per-device busy/utilization).  ``streams``,
-        ``out_of_core`` and ``batch`` compose with fleets the same way
-        they compose with ``ngpu=``; capacity is checked against each
-        rank's *own* memory (:func:`repro.sim.partition.check_fleet_capacity`).
-
-        ``workload=`` selects which emitter feeds the pipeline:
-        ``"svd"`` (default, everything above), ``"eigh"`` (the symmetric
-        eigensolver graph - same sweeps, ``steig_cpu`` tail) or
-        ``"lowrank"`` (the randomized low-rank graph; requires
-        ``rank=``).  Passing ``rank=`` alone implies
-        ``workload="lowrank"``.  Both new workloads run the same emit ->
-        partition -> rewrite -> price pipeline, so ``streams``, ``ngpu``,
-        ``nodes``, ``topology`` and ``out_of_core`` all compose;
-        ``batch`` stays an SVD-only axis.
+        Every axis runs one pipeline: validate -> resolve placement ->
+        emit -> partition -> (out-of-core rewrite) -> price.  The emitter
+        follows from ``workload`` / ``batch`` / ``rank`` (``rank=`` alone
+        implies ``workload="lowrank"``), the partition from ``ngpu`` /
+        ``nodes`` / ``topology``, and the pricer from the composed graph:
+        the discrete-event simulator for multi-node and heterogeneous
+        fleets (:class:`~repro.sim.events.EventSchedule`), the list
+        scheduler for ``streams > 1``
+        (:class:`~repro.sim.timeline.StreamSchedule`), and a
+        :class:`~repro.sim.schedule.TimeBreakdown` otherwise.  A uniform
+        ``topology`` of the handle's own device is the ``ngpu=`` /
+        ``nodes=`` spelling.  ``check_capacity`` checks each device's
+        share against its own memory; out-of-core predictions skip it.
+        Composed graphs are memoized per axes.  ``docs/predicting.md``
+        tabulates every combination.
         """
+        config = self._config
         # the method guard comes first so a Jacobi handle is told about
         # its real problem, not about whichever axis value it passed
-        if self._config.method != "qr":
+        if config.method != "qr":
             raise InvalidParamsError(
                 "prediction models the two-stage QR pipeline; construct "
                 "the Solver with method='qr'"
+            )
+        _require_int("n", n, ShapeError)
+        if batch is not None:
+            _require_int("batch", batch, ShapeError)
+        for name, value in (("ngpu", ngpu), ("nodes", nodes),
+                            ("streams", streams)):
+            _require_int(name, value)
+        if rank is not None:
+            _require_int("rank", rank)
+        if oc_budget_gb is not None and (
+            isinstance(oc_budget_gb, bool)
+            or not isinstance(oc_budget_gb, (int, float, np.integer,
+                                             np.floating))
+        ):
+            raise InvalidParamsError(
+                f"oc_budget_gb must be a number of GiB, got {oc_budget_gb!r}"
             )
         if workload not in ("svd", "eigh", "lowrank"):
             raise InvalidParamsError(
@@ -477,7 +419,10 @@ class Solver:
             )
         if workload == "lowrank":
             check_rank(rank, n, n)
-        hetero = False
+
+        # resolve placement: a uniform fleet of the handle's own device
+        # is the legacy ngpu/nodes spelling; any other fleet is weighted
+        fleet = None
         if topology is not None:
             require_no_conflicts(
                 topology,
@@ -486,17 +431,13 @@ class Solver:
                 fabric_gbs=fabric_gbs,
                 link_gbs=link_gbs,
             )
-            # a uniform fleet of the handle's own device takes the legacy
-            # routing below (byte-identical by construction); anything
-            # else is priced by the fleet path after the shared guards
             ngpu = topology.per_node
             nodes = topology.nodes
             link_gbs = topology.link_gbs
             fabric_gbs = topology.fabric_gbs
-            hetero = (
-                not topology.is_uniform
-                or topology.device != self._config.backend.device.name
-            )
+            if (not topology.is_uniform
+                    or topology.device != config.backend.device.name):
+                fleet = topology
         if ngpu < 1:
             raise InvalidParamsError(
                 f"ngpu must be a positive device count, got {ngpu}"
@@ -531,316 +472,97 @@ class Solver:
                     f"oc_budget_gb must be a positive budget, "
                     f"got {oc_budget_gb}"
                 )
-        storage = self._config.require_precision("predict")
-        if workload != "svd":
-            return self._predict_workload(
-                n,
-                workload,
-                rank,
-                ngpu=ngpu,
-                nodes=nodes,
-                streams=streams,
-                out_of_core=out_of_core,
-                check_capacity=check_capacity,
-                link_gbs=link_gbs,
-                fabric_gbs=fabric_gbs,
-                oc_budget_gb=oc_budget_gb,
-                topology=topology if hetero else None,
-            )
-        if hetero:
-            return self._predict_fleet(
-                n,
-                topology,
-                batch=batch,
-                streams=streams,
-                out_of_core=out_of_core,
-                check_capacity=check_capacity,
-                oc_budget_gb=oc_budget_gb,
-            )
-        if batch is not None:
-            # the batched graph runs the same emit -> partition ->
-            # rewrite -> price pipeline as every other axis
-            return predict_batched_resolved(
-                n,
-                batch,
-                self._config,
-                ngpu=ngpu,
-                nodes=nodes,
-                streams=streams,
-                out_of_core=out_of_core,
-                link_gbs=link_gbs,
-                fabric_gbs=fabric_gbs,
-                budget_bytes=(
-                    oc_budget_gb * 2**30 if oc_budget_gb is not None else None
-                ),
-                check_capacity=check_capacity,
-            )
-        if nodes > 1:
-            # emit -> partition across the two-tier fabric -> simulate:
-            # only the discrete-event engine can price the queueing and
-            # fabric contention a cluster graph exhibits, so the cluster
-            # path always returns an EventSchedule
-            if check_capacity:
-                check_shard_capacity(n, self._config, ngpu, nodes=nodes)
-            config = self._config
-            fabric = config.fabric_spec(link_gbs, fabric_gbs)
-
-            def _compose_cluster():
-                graph = emit_svd_graph(n, config, streams=streams)
-                return partition_graph(
-                    graph, ngpu, nodes=nodes, fabric=fabric
-                )
-
-            graph = bound_structure(
-                ("sq_cluster_graph", config, n, nodes, ngpu, streams, fabric),
-                _compose_cluster,
-            )
-            return simulate_events(graph, config, storage, streams=streams)
-        if out_of_core:
-            return predict_out_of_core_resolved(
-                n,
-                self._config,
-                ngpu=ngpu,
-                streams=streams,
-                link_gbs=link_gbs,
-                budget_bytes=(
-                    oc_budget_gb * 2**30 if oc_budget_gb is not None else None
-                ),
-            )
-        if ngpu == 1 and streams == 1:
-            return predict_resolved(
-                n, self._config, check_capacity=check_capacity
-            )
-        if check_capacity:
-            if ngpu == 1:
-                self._config.backend.check_capacity(n, storage)
-            else:
-                check_shard_capacity(n, self._config, ngpu)
-        if ngpu > 1 and streams == 1:
-            # emit -> partition -> price (the TimeBreakdown path)
-            return predict_multi_gpu_resolved(
-                n, self._config, ngpu, link_gbs=link_gbs
-            )
-        config = self._config
-        link = config.link_spec(link_gbs) if ngpu > 1 else None
-
-        def _compose():
-            graph = emit_svd_graph(n, config, streams=streams)
-            if ngpu > 1:
-                graph = partition_graph(graph, ngpu, link)
-            return graph
-
-        # memoized per axes (see repro.sim.table): repeated stream-path
-        # predictions reuse the emitted/partitioned graph and its table
-        graph = bound_structure(
-            ("sq_stream_graph", config, n, streams, ngpu, link), _compose
-        )
-        return schedule_streams(graph, config, storage, streams)
-
-    def _predict_fleet(
-        self,
-        n: int,
-        topology: Topology,
-        *,
-        batch: Optional[int] = None,
-        streams: int = 1,
-        out_of_core: bool = False,
-        check_capacity: bool = True,
-        oc_budget_gb: Optional[float] = None,
-    ) -> EventSchedule:
-        """Price a heterogeneous fleet through the discrete-event engine.
-
-        The one pipeline behind every fleet prediction: emit -> weighted
-        partition (:func:`repro.sim.partition.shard_rows_weighted`, one
-        shard per rank sized by its cost-model throughput) -> optional
-        out-of-core rewrite -> :func:`repro.sim.events.simulate_events`
-        with per-rank compute-duration scales and labels, so the
-        returned :class:`~repro.sim.events.EventSchedule` carries each
-        rank's busy occupancy.  Composed graphs are memoized per axes
-        through the bound-structure memo (the frozen topology is part of
-        the key), so tune's placement search re-emits nothing.
-        """
-        config = self._config
         storage = config.require_precision("predict")
-        weights = fleet_weights(topology, config)
-        scale = fleet_scale(topology, config)
-        labels = tuple(
-            f"dev{i}:{d}" for i, d in enumerate(topology.devices)
-        )
-        budget_bytes = (
-            oc_budget_gb * 2**30 if oc_budget_gb is not None else None
-        )
         if batch is not None:
             if n < 1 or batch < 1:
                 raise ShapeError(
                     f"need positive n and batch, got n={n}, batch={batch}"
                 )
-            if out_of_core:
+            if out_of_core and fleet is not None:
                 raise InvalidParamsError(
                     "out_of_core streaming and heterogeneous batched "
                     "fleets do not compose yet; drop one of the two axes"
                 )
-            if check_capacity:
-                check_batched_capacity(n, batch, config, topology.ngpu)
-
-            def _compose_fleet_batch():
-                graph = emit_batched_graph(n, batch, config, streams=streams)
-                return partition_graph(
-                    graph, topology=topology, config=config, weights=weights
-                )
-
-            graph = bound_structure(
-                (
-                    "bat_fleet_graph", config, n, batch,
-                    min(streams, batch), topology,
-                ),
-                _compose_fleet_batch,
-            )
-            return simulate_events(
-                graph, config, storage, streams=streams,
-                device_scale=scale, device_labels=labels,
-            )
-        if check_capacity and not out_of_core:
-            check_fleet_capacity(n, config, topology, weights)
-
-        def _compose_fleet():
-            graph = emit_svd_graph(n, config, streams=streams)
-            graph = partition_graph(
-                graph, topology=topology, config=config, weights=weights
-            )
-            if out_of_core:
-                return rewrite_out_of_core(
-                    graph, config, storage, budget_bytes
-                )
-            return graph
-
-        graph = bound_structure(
-            (
-                "sq_fleet_graph", config, n, topology, streams,
-                out_of_core, budget_bytes,
-            ),
-            _compose_fleet,
-        )
-        return simulate_events(
-            graph, config, storage, streams=streams,
-            device_scale=scale, device_labels=labels,
-        )
-
-    def _predict_workload(
-        self,
-        n: int,
-        workload: str,
-        rank: Optional[int],
-        *,
-        ngpu: int = 1,
-        nodes: int = 1,
-        streams: int = 1,
-        out_of_core: bool = False,
-        check_capacity: bool = True,
-        link_gbs: Optional[float] = None,
-        fabric_gbs: Optional[float] = None,
-        oc_budget_gb: Optional[float] = None,
-        topology: Optional[Topology] = None,
-    ) -> Union[TimeBreakdown, StreamSchedule, EventSchedule]:
-        """Route a non-SVD workload through the shared graph pipeline.
-
-        One pipeline for both new emitters: emit (the eigensolver or
-        low-rank graph) -> partition (uniform peers, two-tier cluster or
-        cost-weighted fleet) -> optional out-of-core rewrite -> price
-        (analytic for the serial graph, greedy scheduler for streams,
-        discrete-event simulator for clusters and fleets).  Composed
-        graphs are memoized per axes exactly like the SVD paths.
-        ``topology`` is only passed here when heterogeneous (uniform
-        fleets of the handle's device were already folded into ``ngpu``
-        / ``nodes`` by :meth:`predict`).
-        """
-        config = self._config
-        storage = config.require_precision("predict")
+        elif n < 1:
+            raise ShapeError(f"matrix order must be positive, got {n}")
         budget_bytes = (
             oc_budget_gb * 2**30 if oc_budget_gb is not None else None
         )
-        if workload == "eigh":
-            tag = "eigh"
-            shape_key: Tuple = (n,)
+        weights = None if fleet is None else fleet_weights(fleet, config)
 
-            def emit():
-                return emit_eigh_graph(n, config, streams=streams)
-        else:
-            tag = "lr"
-            shape_key = (n, rank)
-
-            def emit():
-                return emit_lowrank_graph(n, n, rank, config, streams=streams)
-
-        if topology is not None:
-            weights = fleet_weights(topology, config)
-            scale = fleet_scale(topology, config)
-            labels = tuple(
-                f"dev{i}:{d}" for i, d in enumerate(topology.devices)
-            )
-            if check_capacity and not out_of_core and workload == "eigh":
-                check_fleet_capacity(n, config, topology, weights)
-
-            def _compose_fleet():
-                graph = partition_graph(
-                    emit(), topology=topology, config=config, weights=weights
-                )
-                if out_of_core:
-                    return rewrite_out_of_core(
-                        graph, config, storage, budget_bytes
-                    )
-                return graph
-
-            graph = bound_structure(
-                (
-                    tag + "_fleet_graph", config, *shape_key, topology,
-                    streams, out_of_core, budget_bytes,
-                ),
-                _compose_fleet,
-            )
-            return simulate_events(
-                graph, config, storage, streams=streams,
-                device_scale=scale, device_labels=labels,
-            )
         if check_capacity and not out_of_core:
-            # the eigensolver shard has the square footprint; low-rank
-            # shards are strictly smaller than the full input, so only
-            # the single-device case is checked against the whole matrix
-            if workload == "eigh" and ngpu * nodes > 1:
-                check_shard_capacity(n, config, ngpu, nodes=nodes)
+            if fleet is not None:
+                if batch is not None or workload != "lowrank":
+                    check_fleet_capacity(n, config, fleet, weights, batch)
+            elif batch is not None:
+                check_batched_capacity(n, batch, config, nodes * ngpu)
             elif ngpu * nodes == 1:
                 config.backend.check_capacity(n, storage)
-        if nodes > 1:
-            fabric = config.fabric_spec(link_gbs, fabric_gbs)
-            graph = bound_structure(
-                (
-                    tag + "_cluster_graph", config, *shape_key, nodes,
-                    ngpu, streams, fabric,
-                ),
-                lambda: partition_graph(
-                    emit(), ngpu, nodes=nodes, fabric=fabric
-                ),
-            )
-            return simulate_events(graph, config, storage, streams=streams)
-        link = config.link_spec(link_gbs) if ngpu > 1 else None
+            elif workload != "lowrank":
+                # low-rank shards are strictly smaller than the input
+                check_shard_capacity(n, config, ngpu, nodes=nodes)
 
-        def _compose():
-            graph = emit()
-            if ngpu > 1:
-                graph = partition_graph(graph, ngpu, link)
+        # the plain in-core single-device case binds the shape-parametric
+        # structure and prices its table without emitting nodes
+        if (fleet is None and ngpu * nodes == 1 and streams == 1
+                and not out_of_core and workload == "svd"):
+            table = (
+                bind_svd_table(n, config) if batch is None
+                else bind_batched_table(n, batch, config)
+            )
+            return price_table(table, config, storage, None)
+
+        if fleet is not None:
+            part = fleet
+        elif nodes > 1:
+            part = config.fabric_spec(link_gbs, fabric_gbs)
+        elif ngpu > 1:
+            part = config.link_spec(link_gbs)
+        else:
+            part = None
+
+        def compose():
+            if batch is not None:
+                graph = emit_batched_graph(n, batch, config, streams=streams)
+            elif workload == "eigh":
+                graph = emit_eigh_graph(n, config, streams=streams)
+            elif workload == "lowrank":
+                graph = emit_lowrank_graph(n, n, rank, config, streams=streams)
+            else:
+                graph = emit_svd_graph(n, config, streams=streams)
+            if fleet is not None:
+                graph = partition_graph(
+                    graph, topology=fleet, config=config, weights=weights
+                )
+            elif nodes > 1:
+                graph = partition_graph(graph, ngpu, nodes=nodes, fabric=part)
+            elif ngpu > 1:
+                graph = partition_graph(graph, ngpu, part)
             if out_of_core:
                 graph = rewrite_out_of_core(
                     graph, config, storage, budget_bytes
                 )
             return graph
 
+        # chains beyond the problem count are idle, so they share a key
+        chains = streams if batch is None else min(streams, batch)
         graph = bound_structure(
             (
-                tag + "_graph", config, *shape_key, ngpu, streams,
-                out_of_core, link, budget_bytes,
+                "predict_graph", config, workload, n, batch, rank, chains,
+                ngpu, nodes, part, out_of_core, budget_bytes,
             ),
-            _compose,
+            compose,
         )
+        if fleet is not None:
+            return simulate_events(
+                graph, config, storage, streams=streams,
+                device_scale=fleet_scale(fleet, config),
+                device_labels=tuple(
+                    f"dev{i}:{d}" for i, d in enumerate(fleet.devices)
+                ),
+            )
+        if nodes > 1:
+            return simulate_events(graph, config, storage, streams=streams)
         if streams > 1:
             return schedule_streams(graph, config, storage, streams)
         if ngpu > 1:
@@ -898,6 +620,9 @@ class Solver:
                 "tuning searches the two-stage QR pipeline; construct "
                 "the Solver with method='qr'"
             )
+        _require_int("n", n, ShapeError)
+        if batch is not None:
+            _require_int("batch", batch, ShapeError)
         if topology is not None and nodes is not None:
             raise InvalidParamsError(
                 "topology= already fixes the fleet axes; also passing "
@@ -933,6 +658,8 @@ class Solver:
                 "plans precompute the two-stage QR launch graph; construct "
                 "the Solver with method='qr'"
             )
+        for size in shape if isinstance(shape, (tuple, list)) else (shape,):
+            _require_int("shape", size, ShapeError)
         return SvdPlan(self._config, shape)
 
     # ------------------------------------------------------------------ #
@@ -1074,7 +801,9 @@ class SvdPlan:
         accounting of the rectangular driver).
         """
         if self.kind == "batched":
-            return predict_batched_resolved(self.n, self.batch, self.config)
+            return Solver.from_config(self.config).predict(
+                self.n, batch=self.batch
+            )
         sq = self._square_breakdown
         bd = TimeBreakdown(
             n=sq.n, panel_s=sq.panel_s, update_s=sq.update_s,

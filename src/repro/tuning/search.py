@@ -17,7 +17,6 @@ from ..backends.backend import BackendLike, resolve_backend
 from ..precision import PrecisionLike, resolve_precision
 from ..sim.costmodel import DEFAULT_COEFFS, CostCoefficients
 from ..sim.params import KernelParams, param_grid
-from ..sim.schedule import predict
 
 __all__ = ["SearchResult", "grid_search", "autotune", "clear_autotune_cache"]
 
@@ -53,13 +52,12 @@ def grid_search(
     candidates = list(grid) if grid is not None else list(param_grid())
     if not candidates:
         raise ValueError("empty search grid")
+    from ..solver import Solver
+
     scored = []
     for p in candidates:
-        t = predict(
-            n, be, prec, params=p, fused=fused, coeffs=coeffs,
-            check_capacity=False,
-        ).total_s
-        scored.append((p, t))
+        solver = Solver(be, prec, params=p, coeffs=coeffs, fused=fused)
+        scored.append((p, solver.predict(n, check_capacity=False).total_s))
     scored.sort(key=lambda item: item[1])
     return SearchResult(
         best=scored[0][0], best_seconds=scored[0][1], table=tuple(scored)

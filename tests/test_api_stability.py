@@ -37,10 +37,6 @@ REPRO_ALL = [
     "__version__",
     "jacobi_svdvals",
     "list_backends",
-    "predict",
-    "predict_batched",
-    "predict_multi_gpu",
-    "predict_out_of_core",
     "resolve_backend",
     "resolve_precision",
     "svd_full",
@@ -78,7 +74,6 @@ CORE_ALL = [
     "lowrank_reference",
     "ntiles",
     "pad_to_tiles",
-    "predict_batched",
     "qr_reduce_tall",
     "reduce_to_band",
     "register_workload",
@@ -127,9 +122,6 @@ SIM_ALL = [
     "panel_cost",
     "param_grid",
     "partition_graph",
-    "predict",
-    "predict_multi_gpu",
-    "predict_out_of_core",
     "price_partitioned",
     "price_table",
     "render_timeline",

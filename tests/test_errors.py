@@ -105,3 +105,49 @@ def test_library_raises_only_repro_errors_for_bad_config():
     for call in bad_calls:
         with pytest.raises(ReproError):
             call()
+
+
+class TestNonIntegerArguments:
+    """Counts that are not integers raise a typed error up front."""
+
+    @pytest.fixture
+    def solver(self):
+        from repro import Solver
+
+        return Solver("h100", "fp32")
+
+    @pytest.mark.parametrize(
+        "kwargs,exc",
+        [
+            ({"n": 2.5}, ShapeError),
+            ({"batch": 2.5}, ShapeError),
+            ({"streams": 2.0}, InvalidParamsError),
+            ({"ngpu": 2.5}, InvalidParamsError),
+            ({"ngpu": None}, InvalidParamsError),
+            ({"nodes": 2.0}, InvalidParamsError),
+            ({"rank": 4.5}, InvalidParamsError),
+            ({"out_of_core": True, "oc_budget_gb": "1"}, InvalidParamsError),
+        ],
+    )
+    def test_predict(self, solver, kwargs, exc):
+        kwargs = dict(kwargs)
+        n = kwargs.pop("n", 256)
+        with pytest.raises(exc, match="must be"):
+            solver.predict(n, **kwargs)
+
+    def test_numpy_integers_accepted(self, solver):
+        import numpy as np
+
+        ref = solver.predict(256, batch=4, streams=2)
+        got = solver.predict(np.int64(256), batch=np.int32(4),
+                             streams=np.int64(2))
+        assert got.total_s == ref.total_s
+
+    @pytest.mark.parametrize("method", ["tune", "plan"])
+    def test_tune_and_plan(self, solver, method):
+        with pytest.raises(ShapeError, match="must be an integer"):
+            getattr(solver, method)(2.5)
+
+    def test_plan_shape_tuple(self, solver):
+        with pytest.raises(ShapeError, match="must be an integer"):
+            solver.plan((64, 64.0))

@@ -112,7 +112,7 @@ class TestGraphStructure:
         }
         bat = emit_batched_graph(64, 8, cfg)
         assert bat.kind == "batched" and bat.batch == 8
-        bd = repro.predict_batched(64, 8, "h100", "fp32")
+        bd = repro.Solver("h100", "fp32").predict(64, batch=8)
         assert bat.launch_counts() == bd.launches
 
     def test_counted_unfused_graph_equivalent_and_small(self):

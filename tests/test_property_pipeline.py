@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from tests.conftest import rel_err, scipy_svdvals
 from repro.core import svdvals, svdvals_rect
-from repro.sim import KernelParams, predict
+from repro import Solver
+from repro.sim import KernelParams
 
 
 @given(
@@ -81,8 +82,8 @@ def test_orthogonal_invariance(n, seed):
 @settings(max_examples=40, deadline=None)
 def test_cost_model_total_positive_finite(n, backend, ts, cpb, sk):
     """The cost model must be well-defined over the whole parameter box."""
-    bd = predict(n, backend, "fp32", params=KernelParams(ts, min(cpb, ts), sk),
-                 check_capacity=False)
+    solver = Solver(backend, "fp32", params=KernelParams(ts, min(cpb, ts), sk))
+    bd = solver.predict(n, check_capacity=False)
     assert np.isfinite(bd.total_s)
     assert bd.total_s > 0
     assert bd.panel_s >= 0 and bd.update_s >= 0

@@ -59,7 +59,7 @@ class TestReadmeQuickstart:
             repro.svdvals(A, backend="mi250", precision="fp16")
         with pytest.raises(repro.UnsupportedPrecisionError):
             repro.svdvals(A, backend="m1pro", precision="fp64")
-        bd = repro.predict(32768, "h100", "fp32")
+        bd = repro.Solver("h100", "fp32").predict(32768)
         assert bd.total_s > 0
         assert sum(bd.stage_fractions().values()) == pytest.approx(1.0)
 

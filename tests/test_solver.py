@@ -11,8 +11,9 @@ from repro.errors import (
     UnsupportedBackendError,
     UnsupportedPrecisionError,
 )
+from repro.core import emit_batched_graph, emit_svd_graph
 from repro.precision import Precision
-from repro.sim import KernelParams
+from repro.sim import AnalyticExecutor, KernelParams
 
 
 @pytest.fixture
@@ -154,24 +155,21 @@ class TestEmptyShapeConsistency:
 
 class TestPredictFrontDoor:
     def test_single_gpu(self, solver):
+        # the bound table prices exactly what the emitted graph charges
         bd = solver.predict(4096)
-        assert bd.total_s == pytest.approx(
-            repro.predict(4096, "h100", "fp32").total_s
-        )
+        graph = emit_svd_graph(4096, solver.config, counted=True)
+        ref = AnalyticExecutor(solver.config, Precision.FP32).run(graph)
+        assert bd.total_s == pytest.approx(ref.total_s)
 
     def test_batched(self, solver):
         bd = solver.predict(128, batch=64)
-        assert bd.total_s == pytest.approx(
-            repro.predict_batched(128, 64, "h100", "fp32").total_s
-        )
+        graph = emit_batched_graph(128, 64, solver.config)
+        ref = AnalyticExecutor(solver.config, Precision.FP32).run(graph)
+        assert bd.total_s == pytest.approx(ref.total_s)
 
     def test_multi_gpu(self, solver):
-        # the legacy shim's historical default link is 100 GB/s; the
-        # handle front door defaults to the backend's own link (NVLink)
+        # the front door defaults to the backend's own link (NVLink)
         bd = solver.predict(8192, ngpu=4, link_gbs=100.0)
-        assert bd.total_s == pytest.approx(
-            repro.predict_multi_gpu(8192, "h100", "fp32", 4).total_s
-        )
         assert bd.comm_s > 0
         nvlink = solver.predict(8192, ngpu=4)
         assert nvlink.comm_s < bd.comm_s  # 450 GB/s NVLink beats 100 GB/s
@@ -179,9 +177,7 @@ class TestPredictFrontDoor:
     def test_out_of_core(self, solver):
         n = 2 * solver.backend.max_n("fp32")
         bd = solver.predict(n, out_of_core=True)
-        assert bd.total_s == pytest.approx(
-            repro.predict_out_of_core(n, "h100", "fp32").total_s
-        )
+        assert bd.total_s > solver.predict(n, check_capacity=False).total_s
         assert bd.io_s > 0
 
     def test_batch_composes_with_every_axis(self, solver):
@@ -332,14 +328,6 @@ class TestLegacyShimsDelegate:
         calls = self._spy(monkeypatch, "svd")
         repro.svd_full(rng.standard_normal((24, 24)))
         assert calls == ["svd"]
-
-    def test_predict_family_delegates(self, monkeypatch):
-        calls = self._spy(monkeypatch, "predict")
-        repro.predict(1024, "h100", "fp32")
-        repro.predict_batched(128, 8, "h100", "fp32")
-        repro.predict_multi_gpu(1024, "h100", "fp32", 2)
-        repro.predict_out_of_core(1024, "h100", "fp32")
-        assert calls == ["predict"] * 4
 
 
 class TestPrecisionFromDtype:

@@ -251,3 +251,18 @@ def ac_budget(cls, solver):
     """A budget fitting ~1.5 problems per rank of ``cls``."""
     storage = solver.config.require_precision("test")
     return cls.npad * cls.npad * storage.sizeof * 1.25 * 1.5
+
+
+class TestBatchedFleetCapacity:
+    """A batched fleet checks each rank's sub-batch against its own memory."""
+
+    def test_heterogeneous_spelling(self):
+        fleet = Topology(("rtx4060", "rtx4060"))
+        with pytest.raises(CapacityError, match="rank 0"):
+            Solver("h100", "fp32").predict(4096, batch=600, topology=fleet)
+        # 30 matrices per 8 GiB rank fit
+        Solver("h100", "fp32").predict(4096, batch=60, topology=fleet)
+
+    def test_uniform_spelling(self):
+        with pytest.raises(CapacityError):
+            Solver("rtx4060", "fp32").predict(4096, batch=600, ngpu=2)
