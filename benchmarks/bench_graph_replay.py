@@ -27,6 +27,11 @@ bind-and-price wall-clock by the old emit-and-scalar-price wall-clock on
 the same host, so host speed cancels to first order.  Its committed
 baseline is hand-pinned at 0.08 - with the gate's 25% tolerance the
 check fails exactly when bind-and-price drops below a 10x speedup.
+``brd/stack8x128_over_loop_ratio`` is the same kind of guard for numeric
+replay: the stage-2 chase of one 8 x 128 fp32 stack (band 32, the
+largest batch the serving benchmark sends) over eight single-problem
+chases.  Its baseline is hand-pinned at 0.5, so the gate fails when
+chasing the stack drops below a 1.6x speedup over looping.
 """
 
 import argparse
@@ -50,6 +55,9 @@ REPS = 50
 
 #: Size the gated speedup ratio is measured at (the tentpole criterion).
 RATIO_N = 32768
+
+#: Problems and size of the gated stage-2 stacking ratio.
+BRD_STACK, BRD_N, BRD_BAND = 8, 128, 32
 
 
 def _time(fn, reps: int, trials: int = 3) -> float:
@@ -164,12 +172,31 @@ def run(
     )
 
 
+def brd_stack_ratio() -> float:
+    """Stage 2 of one stacked batch over a loop of single-problem calls."""
+    from repro.core.brd import band_to_bidiagonal
+    from repro.core.tiling import extract_band
+
+    rng = np.random.default_rng(0)
+    stack = np.stack([
+        extract_band(rng.standard_normal((BRD_N, BRD_N)), BRD_BAND)
+        for _ in range(BRD_STACK)
+    ]).astype(np.float32)
+    band_to_bidiagonal(stack[0], BRD_BAND)  # prime the schedule memo
+    stacked_s = _time(lambda: band_to_bidiagonal(stack, BRD_BAND), 1)
+    loop_s = _time(
+        lambda: [band_to_bidiagonal(a, BRD_BAND) for a in stack], 1
+    )
+    return stacked_s / loop_s
+
+
 def metrics() -> dict:
     """Metrics for the CI regression gate.
 
-    Simulated predicted seconds (deterministic across machines), plus two
-    tentpole guards: the dimensionless ``bindprice_emitscalar_ratio``
-    (both timings share the host, so its baseline transfers) and the
+    Simulated predicted seconds (deterministic across machines), plus
+    tentpole guards: the dimensionless ``bindprice_emitscalar_ratio`` and
+    ``stack8x128_over_loop_ratio`` (both timings of each share the host,
+    so their baselines transfer) and the
     deterministic bound-structure miss count per tune candidate (proof
     the candidate loop binds instead of re-emitting).
     """
@@ -200,6 +227,7 @@ def metrics() -> dict:
     solver.predict(RATIO_N)  # prime: steady-state predict is a memo hit
     new_s = _time(lambda: solver.predict(RATIO_N), 3, trials=2)
     out[f"graph_replay/bindprice_emitscalar_ratio@{RATIO_N}"] = new_s / old_s
+    out["brd/stack8x128_over_loop_ratio"] = brd_stack_ratio()
 
     # re-emission is gone from the candidate loop: a cold tune binds a
     # handful of structures (one per distinct execution-axis family),

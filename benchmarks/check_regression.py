@@ -22,8 +22,11 @@ wall-clock, e.g. ``graph_replay/bindprice_emitscalar_ratio@32768``) are
 also admissible: host speed cancels to first order.  Their baselines may
 be hand-pinned floors rather than measurements - the ratio baseline of
 0.08 with the 25% tolerance fails the gate exactly when bind-and-price
-drops below a 10x speedup over emit-and-scalar-price - so they routinely
-print "improved"; do not ``--update`` them down to the measured value.
+drops below a 10x speedup over emit-and-scalar-price, and the
+``brd/stack8x128_over_loop_ratio`` baseline of 0.5 fails it when the
+stacked stage-2 chase drops below 1.6x over a loop of single problems -
+so they routinely print "improved"; do not ``--update`` them down to the
+measured value.
 """
 
 import argparse

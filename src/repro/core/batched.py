@@ -543,10 +543,13 @@ def replay_batched_graph(
     :func:`repro.sim.partition.partition_graph`, and/or rewritten by
     :func:`repro.sim.outofcore.rewrite_out_of_core` - and executes it
     through the :class:`~repro.sim.graph.NumericExecutor` on a 3-D
-    workspace stack.  Each problem runs the exact kernel sequence of the
-    square driver, so the returned ``(batch, n)`` values are bitwise
-    identical to solving every matrix alone (out-of-core graphs replay
-    under the enforced problem-window budget).
+    workspace stack.  Stage 1 runs each problem's exact square kernel
+    sequence; stage 2 runs once over each problem subset's stacked bands
+    (:func:`~repro.core.brd.band_to_bidiagonal` on a stack gives every
+    problem the bytes it would get alone).  The returned ``(batch, n)``
+    values are therefore bitwise identical to solving every matrix alone
+    (out-of-core graphs replay under the enforced problem-window
+    budget).
     """
     if isinstance(As, np.ndarray):
         if As.ndim != 3:

@@ -254,27 +254,47 @@ class SvdService:
             return
         t_start = self._clock()
         loop = asyncio.get_running_loop()
+
+        def run(reqs):
+            return self._runner.run(
+                reqs,
+                streams=decision.streams,
+                out_of_core=decision.out_of_core,
+                budget_bytes=self._admission.mem_budget_bytes,
+                price=self._admission.price_graph,
+            )
+
+        def run_alone():
+            # fault isolation: one stage-2 chase spans the whole batch, so
+            # a failure re-runs every request by itself and each resolves
+            # with its own values or its own error
+            outcomes, replayed_s = [], 0.0
+            for req in decision.admitted:
+                try:
+                    values, price_s = run([req])
+                except Exception as exc:
+                    outcomes.append((None, exc))
+                else:
+                    outcomes.append((values[0], None))
+                    replayed_s += price_s
+            return outcomes, replayed_s
+
         try:
             values, replayed_s = await loop.run_in_executor(
-                None,
-                lambda: self._runner.run(
-                    decision.admitted,
-                    streams=decision.streams,
-                    out_of_core=decision.out_of_core,
-                    budget_bytes=self._admission.mem_budget_bytes,
-                    price=self._admission.price_graph,
-                ),
+                None, lambda: run(decision.admitted)
             )
-        except Exception as exc:  # pragma: no cover - executor bug surface
-            for req in decision.admitted:
-                self._resolve(req, error=exc)
-            return
+            outcomes = [(vals, None) for vals in values]
+        except Exception:
+            outcomes, replayed_s = await loop.run_in_executor(None, run_alone)
         t_done = self._clock()
         self._metrics.record_batch(
             len(decision.admitted), decision.predicted_s, replayed_s,
             decision.out_of_core,
         )
-        for req, vals in zip(decision.admitted, values):
+        for req, (vals, err) in zip(decision.admitted, outcomes):
+            if err is not None:
+                self._resolve(req, error=err)
+                continue
             ok = req.slo_s is None or (t_done - req.t_submit) <= req.slo_s
             self._metrics.record_done(
                 t_start - req.t_submit, t_done - req.t_submit, ok, t_done

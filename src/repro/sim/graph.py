@@ -519,7 +519,8 @@ class NumericExecutor:
         self._window = None
         #: Batched replay (``W`` is a ``(batch, npad, npad)`` stack):
         #: per-problem child executors, created lazily, each replaying
-        #: the square-kind body of a batched launch on its own slice.
+        #: the square-kind body of a batched launch on its own slice
+        #: (stage 2 runs once over a subset's stack and fills their d, e).
         self._subs: Dict[int, "NumericExecutor"] = {}
         #: problem index -> float64 singular values (batched replay).
         self.values_by_problem: Dict[int, object] = {}
@@ -538,12 +539,11 @@ class NumericExecutor:
         # this module at load time, so a module-level import would cycle.
         from ..kernels import ftsmqr, ftsqrt, geqrt, tsmqr, tsqrt, unmqr
         from ..kernels.tsmqr import tsmqr_body
-        from ..core.tiling import extract_band, tile
+        from ..core.tiling import tile
 
         self._k = (geqrt, unmqr, ftsqrt, ftsmqr, tsqrt, tsmqr)
         self._tsmqr_body = tsmqr_body
         self._tile = tile
-        self._extract_band = extract_band
 
     # ------------------------------------------------------------------ #
     def run(self, graph) -> "NumericExecutor":
@@ -749,20 +749,25 @@ class NumericExecutor:
         return ex
 
     def _dispatch_batched(self, node: LaunchNode) -> None:
-        """Replay one batched launch: its square body, per covered problem.
+        """Replay one batched launch over the problem subset ``meta[0]``.
 
-        ``meta[0]`` names the problem subset; ``meta[1:]`` is exactly the
-        square node's meta, so each problem executes kernel-for-kernel the
-        sequence the square driver would run — batched replay is bitwise
-        identical to solving every matrix alone (pinned in
-        ``tests/test_batched_compose.py``).  Requires a 3-D ``W`` stack.
+        ``meta[1:]`` is exactly the square node's meta, so stage-1 bodies
+        run per covered problem through child executors, kernel-for-kernel
+        the sequence the square driver would run.  Stage 2 runs once over
+        the subset: the primary ``brd_chase_b`` node stacks the subset's
+        bands and chases them in one :func:`~repro.core.brd.
+        band_to_bidiagonal` call, which gives every problem exactly the
+        bytes it would get alone, and hands each child its ``(d, e)``.
+        Batched replay is therefore bitwise identical to solving every
+        matrix alone (pinned in ``tests/test_batched_compose.py``), for
+        stream chains, device shards and out-of-core windows alike.
+        Requires a 3-D ``W`` stack.
         """
         probs = problem_range(node.meta[0])
         base = node.kind[:-2]  # strip the "_b" suffix
         if base == "brd_chase":
             if node.primary:
-                for p in probs:
-                    self._sub(p)._run_stage2()
+                self._run_stage2_stack(probs)
             return
         if base == "bdsqr_cpu":
             sq = LaunchNode(base, node.stage, ("solve", node.key[2]))
@@ -775,19 +780,36 @@ class NumericExecutor:
         for p in probs:
             self._sub(p)._dispatch(sq)
 
+    def _work_dtype(self):
+        """The dtype stage 2 runs in (compute precision, else storage)."""
+        if self.compute_dtype is not None:
+            return self.compute_dtype
+        return self.storage.dtype
+
     def _run_stage2(self) -> None:
-        """Band -> bidiagonal numerics (once, on the first stage-2 node)."""
+        """Band -> bidiagonal numerics (once, on the first stage-2 node).
+
+        The chase ignores everything outside the band, so the stage-1
+        workspace, reflector tails included, is handed over as is.
+        """
         if self.d is not None:
             return
         from ..core.brd import band_to_bidiagonal
 
-        band = self._extract_band(self.W, self.ts)
-        work_dtype = (
-            self.compute_dtype
-            if self.compute_dtype is not None
-            else self.storage.dtype
-        )
-        band_c = band.astype(work_dtype, copy=False)
         self.d, self.e = band_to_bidiagonal(
-            band_c, self.ts, session=None, inplace=True
+            self.W.astype(self._work_dtype()), self.ts, inplace=True
         )
+
+    def _run_stage2_stack(self, probs: range) -> None:
+        """Stage 2 of problems ``probs`` of a batched stack, in one chase."""
+        from ..core.brd import band_to_bidiagonal
+
+        subs = [self._sub(p) for p in probs]
+        if all(sub.d is not None for sub in subs):
+            return
+        stack = self.W[probs.start : probs.stop : probs.step]
+        d, e = band_to_bidiagonal(
+            stack.astype(self._work_dtype()), self.ts, inplace=True
+        )
+        for sub, dp, ep in zip(subs, d, e):
+            sub.d, sub.e = dp, ep

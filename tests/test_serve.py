@@ -123,6 +123,36 @@ class TestBitwiseIdentity:
             assert np.array_equal(served, solver.solve(A))
 
 
+class TestFaultIsolation:
+    def test_failing_request_fails_alone(self, rng, monkeypatch):
+        """A batch whose execution raises re-runs each request alone."""
+        solver = Solver(backend="h100", precision="fp32")
+        mats = [rng.standard_normal((64, 64)) for _ in range(4)]
+        bad = mats[2]
+        run = BatchRunner.run
+
+        def faulty_run(self, requests, *args, **kwargs):
+            if any(req.A is bad for req in requests):
+                raise RuntimeError("stage 1 failed on the poisoned matrix")
+            return run(self, requests, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRunner, "run", faulty_run)
+
+        async def go():
+            async with solver.serve(max_batch=4, max_wait_s=0.05) as svc:
+                futs = [await svc.submit(A) for A in mats]
+                out = await asyncio.gather(*futs, return_exceptions=True)
+                return out, svc.stats()
+
+        results, stats = asyncio.run(go())
+        assert stats.batches == 1 and stats.completed == 3
+        assert isinstance(results[2], RuntimeError)
+        assert "poisoned" in str(results[2])
+        for i, A in enumerate(mats):
+            if i != 2:
+                assert np.array_equal(results[i], solver.solve(A))
+
+
 class TestSubmitValidation:
     def test_rejects_bad_inputs(self, rng):
         solver = Solver(backend="h100", precision="fp32")
