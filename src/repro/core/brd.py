@@ -249,7 +249,7 @@ class _WideIndex:
         first = base[self.rel] + stride[self.rel] * t
         self.lines = np.stack([first, first + np.where(row, n, 1)[self.rel]])
         self.head = kind == _HEAD
-        self.r0, self.r1 = r0, r1
+        self.r0 = r0
 
 
 def _apply_wide(Wf, offs, idx: _WideIndex, p0, p1, chase, alive, dead) -> bool:

@@ -805,8 +805,6 @@ class NumericExecutor:
         from ..core.brd import band_to_bidiagonal
 
         subs = [self._sub(p) for p in probs]
-        if all(sub.d is not None for sub in subs):
-            return
         stack = self.W[probs.start : probs.stop : probs.step]
         d, e = band_to_bidiagonal(
             stack.astype(self._work_dtype()), self.ts, inplace=True

@@ -118,7 +118,7 @@ class TestSchedule:
             np.arange(len(sched.wave_ptr) - 1), np.diff(sched.wave_ptr)
         )
         elem, wv, rank = [], [], []
-        for (kind, k, lo, hi, _), w in zip(rots, wave.tolist()):
+        for (kind, k, lo, hi, ch), w in zip(rots, wave.tolist()):
             span = np.arange(lo, hi + 1)
             if kind == brd._ROW:
                 cells = np.concatenate([k * n + span, (k + 1) * n + span])
@@ -126,7 +126,7 @@ class TestSchedule:
                 cells = np.concatenate([span * n + k, span * n + k + 1])
             elem.append(cells)
             wv.append(np.full(cells.size, w))
-            rank.append(np.full(cells.size, order[(kind, k, lo, hi, _)]))
+            rank.append(np.full(cells.size, order[(kind, k, lo, hi, ch)]))
         elem, wv, rank = map(np.concatenate, (elem, wv, rank))
         idx = np.lexsort((wv, elem))
         elem, wv, rank = elem[idx], wv[idx], rank[idx]
