@@ -32,6 +32,11 @@ replay: the stage-2 chase of one 8 x 128 fp32 stack (band 32, the
 largest batch the serving benchmark sends) over eight single-problem
 chases.  Its baseline is hand-pinned at 0.5, so the gate fails when
 chasing the stack drops below a 1.6x speedup over looping.
+``batched/solve16x64_over_loop_ratio`` guards the whole stacked solve
+the same way: ``Solver.solve`` on one 16 x 64 fp32 stack over sixteen
+single-matrix ``Solver.solve`` calls.  Its baseline is hand-pinned at
+0.8, so the gate fails when the stacked solve is no faster than the
+loop.
 """
 
 import argparse
@@ -58,6 +63,9 @@ RATIO_N = 32768
 
 #: Problems and size of the gated stage-2 stacking ratio.
 BRD_STACK, BRD_N, BRD_BAND = 8, 128, 32
+
+#: Problems and size of the gated stacked-solve ratio.
+SOLVE_STACK, SOLVE_N = 16, 64
 
 
 def _time(fn, reps: int, trials: int = 3) -> float:
@@ -190,13 +198,26 @@ def brd_stack_ratio() -> float:
     return stacked_s / loop_s
 
 
+def solve_stack_ratio(solver) -> float:
+    """``Solver.solve`` on one stack over a loop of single-matrix solves."""
+    rng = np.random.default_rng(0)
+    stack = rng.standard_normal((SOLVE_STACK, SOLVE_N, SOLVE_N)).astype(
+        np.float32
+    )
+    solver.solve(stack)  # prime the graph and chase-schedule memos
+    stacked_s = _time(lambda: solver.solve(stack), 1)
+    loop_s = _time(lambda: [solver.solve(a) for a in stack], 1)
+    return stacked_s / loop_s
+
+
 def metrics() -> dict:
     """Metrics for the CI regression gate.
 
     Simulated predicted seconds (deterministic across machines), plus
-    tentpole guards: the dimensionless ``bindprice_emitscalar_ratio`` and
-    ``stack8x128_over_loop_ratio`` (both timings of each share the host,
-    so their baselines transfer) and the
+    tentpole guards: the dimensionless ``bindprice_emitscalar_ratio``,
+    ``stack8x128_over_loop_ratio`` and ``solve16x64_over_loop_ratio``
+    (both timings of each share the host, so their baselines transfer)
+    and the
     deterministic bound-structure miss count per tune candidate (proof
     the candidate loop binds instead of re-emitting).
     """
@@ -228,6 +249,7 @@ def metrics() -> dict:
     new_s = _time(lambda: solver.predict(RATIO_N), 3, trials=2)
     out[f"graph_replay/bindprice_emitscalar_ratio@{RATIO_N}"] = new_s / old_s
     out["brd/stack8x128_over_loop_ratio"] = brd_stack_ratio()
+    out["batched/solve16x64_over_loop_ratio"] = solve_stack_ratio(solver)
 
     # re-emission is gone from the candidate loop: a cold tune binds a
     # handful of structures (one per distinct execution-axis family),

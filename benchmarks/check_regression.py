@@ -24,9 +24,11 @@ be hand-pinned floors rather than measurements - the ratio baseline of
 0.08 with the 25% tolerance fails the gate exactly when bind-and-price
 drops below a 10x speedup over emit-and-scalar-price, and the
 ``brd/stack8x128_over_loop_ratio`` baseline of 0.5 fails it when the
-stacked stage-2 chase drops below 1.6x over a loop of single problems -
-so they routinely print "improved"; do not ``--update`` them down to the
-measured value.
+stacked stage-2 chase drops below 1.6x over a loop of single problems,
+and the ``batched/solve16x64_over_loop_ratio`` baseline of 0.8 fails it
+when ``Solver.solve`` on a 16 x 64 fp32 stack is no faster than sixteen
+single-matrix solves - so they routinely print "improved"; do not
+``--update`` them down to the measured value.
 """
 
 import argparse

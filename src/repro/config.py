@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+import numpy as np
+
 from .backends.backend import Backend, BackendLike, resolve_backend
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, UnsupportedPrecisionError
 from .precision import Precision, PrecisionLike
 from .sim.costmodel import (
     DEFAULT_COEFFS,
@@ -180,8 +182,15 @@ class SolveConfig:
         """Concrete storage precision for an input dtype.
 
         The configured precision wins when set; otherwise it is inferred
-        from the dtype and validated against the backend.
+        from the dtype and validated against the backend.  Non-real
+        dtypes (complex, object, string, ...) are rejected here.
         """
+        dtype = np.dtype(dtype)
+        if dtype.kind not in "biuf":
+            raise UnsupportedPrecisionError(
+                f"input dtype {dtype} is not supported; pass a real float, "
+                f"integer or bool matrix"
+            )
         if self.precision is not None:
             return self.precision
         return self.backend.check_precision(Precision.from_dtype(dtype))

@@ -28,15 +28,16 @@ whole problems through a bounded device window shared by every in-flight
 problem.  ``Solver.predict(n, batch=b, ...)`` runs it through the emit
 -> (partition ->) (rewrite ->) price pipeline; the pre-composition
 pricing survives as :func:`batched_closed_form_resolved`, the
-consistency oracle the tests pin the graph path against.  :func:`replay_batched_graph` replays any
-replayable batched graph (sharded or out-of-core) numerically, bitwise
-identical to solving each matrix alone.
+consistency oracle the tests pin the graph path against.
+:func:`replay_batched_graph`, the one batched numeric path, replays any
+replayable batched graph bitwise identical to solving each matrix alone.
 """
 
 from __future__ import annotations
 
 import math
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,11 +67,12 @@ from ..sim.table import (
     price_table,
 )
 from ..sim.tracing import Stage
-from .svd import _rescale_factor, emit_svd_graph, svdvals_resolved
+from .svd import _rescale_factor
 from .tiling import ntiles
 
 __all__ = [
     "batched_closed_form_resolved",
+    "batched_graph",
     "bind_batched_table",
     "emit_batched_graph",
     "replay_batched_graph",
@@ -531,84 +533,124 @@ def batched_closed_form_resolved(
     )
 
 
-def replay_batched_graph(
-    As: Union[np.ndarray, Sequence[np.ndarray]],
-    graph: LaunchGraph,
-    config: SolveConfig,
-) -> np.ndarray:
-    """Numerically replay a replayable batched launch graph.
-
-    Accepts any batched graph in replayable form - straight from
-    :func:`emit_batched_graph` (any ``streams``), sharded by
-    :func:`repro.sim.partition.partition_graph`, and/or rewritten by
-    :func:`repro.sim.outofcore.rewrite_out_of_core` - and executes it
-    through the :class:`~repro.sim.graph.NumericExecutor` on a 3-D
-    workspace stack.  Stage 1 runs each problem's exact square kernel
-    sequence; stage 2 runs once over each problem subset's stacked bands
-    (:func:`~repro.core.brd.band_to_bidiagonal` on a stack gives every
-    problem the bytes it would get alone).  The returned ``(batch, n)``
-    values are therefore bitwise identical to solving every matrix alone
-    (out-of-core graphs replay under the enforced problem-window
-    budget).
-    """
+def _matrices(As: Union[np.ndarray, Sequence[np.ndarray]]) -> List[np.ndarray]:
+    """The members of a batch: a ``(batch, n, n)`` array or a sequence."""
     if isinstance(As, np.ndarray):
         if As.ndim != 3:
             raise ShapeError(f"expected (batch, n, n) array, got {As.shape}")
-        mats: List[np.ndarray] = [As[i] for i in range(As.shape[0])]
+        mats = list(As)
     else:
         mats = [np.asarray(a) for a in As]
     if not mats:
         raise ShapeError("empty batch")
-    n = mats[0].shape[0]
-    if n == 0:
-        raise ShapeError("empty matrix")
-    for a in mats:
-        if a.shape != (n, n):
-            raise ShapeError("all batch matrices must be square and equal-size")
+    return mats
+
+
+def _unfused(graph: LaunchGraph) -> LaunchGraph:
+    """``graph`` with each fused batched panel/update split per tile row.
+
+    Batched launches are priced as fused grids whatever the ``fused``
+    axis; a ``fused=False`` handle replays them as the per-row
+    TSQRT/TSMQR kernels of its square driver, so its bytes match its 2-D
+    solves (a TSMQR reads only its own row's reflector, so a sweep's
+    TSQRTs may all run first).
+    """
+    nodes: List[LaunchNode] = []
+    for node in graph.nodes:
+        if node.kind in ("ftsqrt_b", "ftsmqr_b"):
+            probs, lq, row, col, rows, *rest = node.meta
+            nodes += [
+                replace(node, kind=node.kind[1:],
+                        meta=(probs, lq, row, col, l, *rest))
+                for l in range(*rows)
+            ]
+        else:
+            nodes.append(node)
+    return replace(graph, nodes=nodes, fused=False)
+
+
+def batched_graph(n: int, batch: int, config: SolveConfig) -> LaunchGraph:
+    """The replayable batched graph, memoized per ``(config, n, batch)``."""
+    return bound_structure(
+        ("bat_graph", config, n, batch),
+        lambda: emit_batched_graph(n, batch, config),
+    )
+
+
+def replay_batched_graph(
+    As: Union[np.ndarray, Sequence[np.ndarray]],
+    graph: LaunchGraph,
+    config: SolveConfig,
+) -> List[np.ndarray]:
+    """Numerically replay a replayable batched launch graph.
+
+    The one code path that turns a batch of square matrices into values,
+    behind stacked :meth:`repro.Solver.solve` calls, batched plans and
+    :class:`~repro.serve.BatchRunner`.  Each problem is rescaled on its
+    original matrix and zero-padded into one ``(batch, npad, npad)``
+    workspace, which the :class:`~repro.sim.graph.NumericExecutor` runs
+    the graph over; each problem's values are then unscaled and
+    truncated to its own order ``n_i`` (any order that pads to
+    ``graph.npad``), one float64 vector per problem.
+
+    Accepts any batched graph in replayable form - straight from
+    :func:`emit_batched_graph` (any ``streams``), sharded by
+    :func:`repro.sim.partition.partition_graph`, and/or rewritten by
+    :func:`repro.sim.outofcore.rewrite_out_of_core`.  Stage 1 runs each
+    problem's exact square kernel sequence and stage 2 chases each
+    problem subset's stacked bands at once, so the values are bitwise
+    identical to solving every matrix alone.
+    """
+    mats = _matrices(As)
     if graph.kind != "batched" or graph.counted:
         raise ShapeError(
             f"replay_batched_graph needs a replayable batched graph, got "
             f"kind={graph.kind!r} (counted={graph.counted})"
         )
-    if graph.n != n or graph.batch != len(mats):
+    if graph.batch != len(mats):
+        raise ShapeError(f"graph batch={graph.batch}, got {len(mats)} matrices")
+    ts = config.params.tilesize
+    if graph.ts != ts:
         raise ShapeError(
-            f"graph was emitted for batch={graph.batch} n={graph.n}, got "
-            f"batch={len(mats)} n={n}"
+            f"graph tilesize {graph.ts} does not match config tilesize {ts}"
         )
+    for a in mats:
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ShapeError("all batch matrices must be square")
+        if ntiles(a.shape[0], ts) * ts != graph.npad:
+            raise ShapeError(
+                f"a {a.shape} matrix does not pad to npad={graph.npad}"
+            )
 
     storage = config.storage_for(mats[0].dtype)
-    if graph.ts != config.params.tilesize:
-        raise ShapeError(
-            f"graph tilesize {graph.ts} does not match config tilesize "
-            f"{config.params.tilesize}"
-        )
     if config.check_finite and any(
         not np.all(np.isfinite(a)) for a in mats
     ):
         raise ShapeError("input matrix contains NaN or Inf entries")
+    if not config.fused:
+        graph = _unfused(graph)
     compute = config.backend.compute_precision(storage)
     compute_dtype = compute.dtype if compute is not storage else None
 
-    npad = graph.npad
-    W = np.zeros((len(mats), npad, npad), dtype=storage.dtype)
-    scales = []
-    for p, a in enumerate(mats):
-        scale = _rescale_factor(a, storage) if config.rescale else 1.0
-        scales.append(scale)
-        W[p, :n, :n] = a if scale == 1.0 else a * scale
+    W = np.zeros((len(mats), graph.npad, graph.npad), dtype=storage.dtype)
+    scales = [
+        _rescale_factor(a, storage) if config.rescale else 1.0 for a in mats
+    ]
+    for w, a, scale in zip(W, mats, scales):
+        w[: len(a), : len(a)] = a if scale == 1.0 else a * scale
 
     ex = NumericExecutor(
-        W, graph.ts, storage.eps, session=None, compute_dtype=compute_dtype,
+        W, ts, storage.eps, session=None, compute_dtype=compute_dtype,
         storage=storage, stage3=config.stage3,
     )
     ex.run(graph)
 
-    out = np.empty((len(mats), n), dtype=np.float64)
-    for p, scale in enumerate(scales):
-        vals = ex.values_by_problem[p][:n].copy()
+    out = []
+    for p, (a, scale) in enumerate(zip(mats, scales)):
+        vals = ex.values_by_problem[p][: len(a)].copy()
         if scale != 1.0:
             vals /= scale
-        out[p] = vals
+        out.append(vals)
     return out
 
 
@@ -616,33 +658,27 @@ def svdvals_batched_resolved(
     As: Union[np.ndarray, Sequence[np.ndarray]],
     config: SolveConfig,
     return_info: bool = False,
-    workspace: Optional[np.ndarray] = None,
-    cost_cache: Optional[dict] = None,
-    graph: Optional[LaunchGraph] = None,
 ) -> Union[np.ndarray, Tuple[np.ndarray, TimeBreakdown]]:
     """Batched-driver implementation against a resolved config.
 
-    The single shared code path behind :meth:`repro.Solver.solve` for 3-D
-    inputs and the legacy :func:`svdvals_batched` shim.  ``workspace``,
-    ``cost_cache`` and ``graph`` (the per-matrix square launch graph) come
-    from a reused :class:`repro.SvdPlan`; when absent, one padded buffer,
-    one launch-price memo and one emitted graph are still allocated *once
-    per batch* so every matrix after the first skips that setup.
+    The code path behind :meth:`repro.Solver.solve` for 3-D inputs,
+    batched :class:`repro.SvdPlan` s and the legacy
+    :func:`svdvals_batched` shim.  The whole batch is checked against
+    device capacity once, up front, then solved as one
+    :func:`replay_batched_graph` over :func:`batched_graph`.  Every
+    matrix is resident at once in one padded ``(batch, npad, npad)``
+    workspace.  Returns ``(batch, n)`` values, bitwise identical to
+    solving each matrix alone.
     """
-    if isinstance(As, np.ndarray):
-        if As.ndim != 3:
-            raise ShapeError(f"expected (batch, n, n) array, got {As.shape}")
-        mats: List[np.ndarray] = [As[i] for i in range(As.shape[0])]
-    else:
-        mats = [np.asarray(a) for a in As]
-    if not mats:
-        raise ShapeError("empty batch")
-    n = mats[0].shape[0]
+    mats = _matrices(As)
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(
+        a.shape != shape for a in mats
+    ):
+        raise ShapeError("all batch matrices must be square and equal-size")
+    n = shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
-    for a in mats:
-        if a.shape != (n, n):
-            raise ShapeError("all batch matrices must be square and equal-size")
 
     # resolve the precision once for the whole batch (from the first
     # matrix's dtype when the handle did not pin one)
@@ -651,27 +687,15 @@ def svdvals_batched_resolved(
         config if config.precision is not None
         else config.with_(precision=storage)
     )
-    if cost_cache is None:
-        cost_cache = {}
-    if workspace is None:
-        ts = batch_config.params.tilesize
-        npad = ntiles(n, ts) * ts
-        workspace = np.zeros((npad, npad), dtype=storage.dtype)
-    if graph is None:
-        graph = emit_svd_graph(n, batch_config)
-
-    out = np.empty((len(mats), n), dtype=np.float64)
-    for i, a in enumerate(mats):
-        out[i] = svdvals_resolved(
-            a, batch_config, workspace=workspace, cost_cache=cost_cache,
-            graph=graph,
-        )
+    batch = len(mats)
+    check_batched_capacity(n, batch, batch_config)
+    graph = batched_graph(n, batch, batch_config)
+    out = np.stack(replay_batched_graph(mats, graph, batch_config))
     if not return_info:
         return out
-    check_batched_capacity(n, len(mats), batch_config)
     bd = price_table(
-        bind_batched_table(n, len(mats), batch_config), batch_config,
-        storage, None,
+        bind_batched_table(n, batch, batch_config), batch_config, storage,
+        None,
     )
     return out, bd
 

@@ -214,6 +214,7 @@ def eigh_resolved(
     n = A.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
+    storage = config.storage_for(A.dtype)
     if config.check_finite and not np.all(np.isfinite(A)):
         raise ShapeError("input matrix contains NaN or Inf entries")
     A64 = np.asarray(A, dtype=np.float64)
@@ -227,7 +228,6 @@ def eigh_resolved(
         )
 
     be = config.backend
-    storage = config.storage_for(A.dtype)
     session = config.session(storage, cost_cache=cost_cache)
     be.check_capacity(n, storage)
     ts = session.params.tilesize

@@ -215,11 +215,11 @@ def svd_lowrank_resolved(
         )
     m, n = A.shape
     check_rank(rank, m, n)
+    storage = config.storage_for(A.dtype)
     if config.check_finite and not np.all(np.isfinite(A)):
         raise ShapeError("input matrix contains NaN or Inf entries")
 
     be = config.backend
-    storage = config.storage_for(A.dtype)
     session = config.session(storage, cost_cache=cost_cache)
     be.check_capacity(int(np.sqrt(m * n)) + 1, storage)
     ts = session.params.tilesize

@@ -318,11 +318,11 @@ def svdvals_resolved(
     n = A.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
+    storage = config.storage_for(A.dtype)
     if config.check_finite and not np.all(np.isfinite(A)):
         raise ShapeError("input matrix contains NaN or Inf entries")
 
     be = config.backend
-    storage = config.storage_for(A.dtype)
     session = config.session(storage, cost_cache=cost_cache)
     be.check_capacity(n, storage)
     kp = session.params

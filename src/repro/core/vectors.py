@@ -342,11 +342,11 @@ def svd_full_resolved(A: np.ndarray, config, return_info: bool = False):
     n = A.shape[0]
     if n == 0:
         raise ShapeError("empty matrix")
+    storage = config.storage_for(A.dtype)
     if config.check_finite and not np.all(np.isfinite(A)):
         raise ShapeError("input matrix contains NaN or Inf entries")
 
     be = config.backend
-    storage = config.storage_for(A.dtype)
     session = config.session(storage)
     be.check_capacity(n, storage)
     ts = session.params.tilesize

@@ -18,7 +18,7 @@ deterministic simulator in :mod:`repro.serve.replay`; it trades latency
 for occupancy through the ``max_batch`` / ``max_wait_s`` knobs.
 :class:`BatchRunner` is the execution backend: emit (or reuse) the
 batched graph of a shape class, optionally rewrite it out-of-core, and
-replay it through the :class:`~repro.sim.graph.NumericExecutor`.
+replay it through :func:`~repro.core.batched.replay_batched_graph`.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import SolveConfig
-from ..core.batched import emit_batched_graph
-from ..core.svd import _rescale_factor
+from ..core.batched import emit_batched_graph, replay_batched_graph
 from ..errors import InvalidParamsError
-from ..sim.graph import LaunchGraph, NumericExecutor
+from ..sim.graph import LaunchGraph
 from ..tuning.planner import ShapeClass
 
 __all__ = ["Batch", "BatchRunner", "DynamicBatcher", "SvdRequest"]
@@ -173,20 +172,15 @@ class BatchRunner:
     ``n`` within the class share it) and memoized per ``(npad, count,
     streams, out_of_core)`` - the serving analogue of
     :class:`repro.SvdPlan`'s precomputed graph, with hit counters
-    surfaced in :class:`~repro.serve.ServiceStats`.  Numerics mirror the
-    square driver exactly: the rescale factor comes from each request's
-    *original* matrix, padding is zero-fill to ``npad``, and each
-    request receives its leading ``n`` values scaled back.
+    surfaced in :class:`~repro.serve.ServiceStats`.  Numerics are the
+    shared :func:`~repro.core.batched.replay_batched_graph`, the same
+    replay ``Solver.solve`` runs on a stack.
     """
 
     def __init__(self, config: SolveConfig) -> None:
         """Pin the resolved config and storage precision for the service."""
         self.config = config
         self.storage = config.require_precision("serve")
-        compute = config.backend.compute_precision(self.storage)
-        self._compute_dtype = (
-            compute.dtype if compute is not self.storage else None
-        )
         self._graphs: Dict[Tuple, LaunchGraph] = {}
         self.graph_hits = 0
         self.graph_misses = 0
@@ -229,40 +223,16 @@ class BatchRunner:
         Returns ``(values, replayed_s)`` where ``values[i]`` is request
         ``i``'s descending singular values (float64, length ``n_i``) and
         ``replayed_s`` is the analytic price of the executed graph via
-        ``price`` (0.0 when no pricer is supplied).  Bitwise identity
-        with per-request :meth:`repro.Solver.solve`: same storage
-        rounding, same rescale factor (computed on the original matrix),
-        same padded kernel sequence, same truncation.
+        ``price`` (0.0 when no pricer is supplied).  The values are
+        bitwise identical to per-request :meth:`repro.Solver.solve`
+        calls (see :func:`~repro.core.batched.replay_batched_graph`).
         """
-        cls = requests[0].cls
         graph = self.graph_for(
-            cls, len(requests), streams=streams, out_of_core=out_of_core,
-            budget_bytes=budget_bytes,
+            requests[0].cls, len(requests), streams=streams,
+            out_of_core=out_of_core, budget_bytes=budget_bytes,
         )
-        npad = cls.npad
-        W = np.zeros((len(requests), npad, npad), dtype=self.storage.dtype)
-        scales: List[float] = []
-        for p, req in enumerate(requests):
-            a = req.A
-            scale = (
-                _rescale_factor(a, self.storage)
-                if self.config.rescale else 1.0
-            )
-            scales.append(scale)
-            W[p, : req.n, : req.n] = a if scale == 1.0 else a * scale
-
-        ex = NumericExecutor(
-            W, cls.tilesize, self.storage.eps, session=None,
-            compute_dtype=self._compute_dtype, storage=self.storage,
-            stage3=self.config.stage3,
+        values = replay_batched_graph(
+            [req.A for req in requests], graph, self.config
         )
-        ex.run(graph)
-
-        values: List[np.ndarray] = []
-        for p, req in enumerate(requests):
-            vals = ex.values_by_problem[p][: req.n].copy()
-            if scales[p] != 1.0:
-                vals /= scales[p]
-            values.append(vals)
         replayed_s = price(graph) if price is not None else 0.0
         return values, replayed_s

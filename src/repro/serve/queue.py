@@ -171,8 +171,8 @@ class SvdService:
     ) -> "asyncio.Future":
         """Enqueue one square matrix; returns the result future.
 
-        Validation (shape, finiteness) happens here, synchronously, so
-        malformed inputs fail at the call site instead of poisoning a
+        Validation (shape, dtype, finiteness) happens here, synchronously,
+        so malformed inputs fail at the call site instead of poisoning a
         batch.  The call itself blocks only when ``max_depth`` requests
         are already in flight (backpressure); the returned future
         resolves to the descending singular values (float64) or raises
@@ -187,6 +187,7 @@ class SvdService:
             )
         if A.shape[0] == 0:
             raise ShapeError("empty matrix")
+        self._config.storage_for(A.dtype)
         if self._config.check_finite and not np.all(np.isfinite(A)):
             raise ShapeError("input matrix contains NaN or Inf entries")
         if slo_s is not None and slo_s <= 0:

@@ -60,6 +60,7 @@ from .sim.params import KernelParams
 from .sim.schedule import TimeBreakdown
 from .sim.timeline import StreamSchedule, schedule_streams
 from .core.batched import (
+    batched_graph,
     bind_batched_table,
     check_batched_capacity,
     emit_batched_graph,
@@ -202,7 +203,8 @@ class Solver:
 
         * ``(n, n)`` square  -> two-stage QR driver;
         * ``(m, n)`` rectangular -> tall-QR preprocessing + square driver;
-        * ``(batch, n, n)`` stack -> batched driver.
+        * ``(batch, n, n)`` stack or list of equal-size matrices ->
+          batched driver: one stacked replay of the batched graph.
 
         Returns descending singular values (``(min(m, n),)`` for 2-D
         inputs, ``(batch, n)`` for stacks), plus the execution report when
@@ -210,7 +212,12 @@ class Solver:
         ``method="jacobi"`` run the one-sided Jacobi cross-check instead
         (no simulated launches, hence no execution report).
         """
-        A = np.asarray(A)
+        try:
+            A = np.asarray(A)
+        except ValueError as exc:  # a ragged sequence of matrices
+            raise ShapeError(
+                "all batch matrices must be square and equal-size"
+            ) from exc
         if self._config.method == "jacobi":
             return self._solve_jacobi(A, return_info=return_info)
         if A.ndim == 3:
@@ -310,26 +317,14 @@ class Solver:
 
     # internal single-shape paths (the legacy shims call these directly to
     # preserve their historical shape contracts)
-    def _solve_square(self, A, return_info=False, workspace=None, cost_cache=None):
-        return svdvals_resolved(
-            A,
-            self._config,
-            return_info=return_info,
-            workspace=workspace,
-            cost_cache=cost_cache,
-        )
+    def _solve_square(self, A, return_info=False):
+        return svdvals_resolved(A, self._config, return_info=return_info)
 
     def _solve_rect(self, A, return_info=False):
         return svdvals_rect_resolved(A, self._config, return_info=return_info)
 
-    def _solve_batched(self, As, return_info=False, workspace=None, cost_cache=None):
-        return svdvals_batched_resolved(
-            As,
-            self._config,
-            return_info=return_info,
-            workspace=workspace,
-            cost_cache=cost_cache,
-        )
+    def _solve_batched(self, As, return_info=False):
+        return svdvals_batched_resolved(As, self._config, return_info=return_info)
 
     # ------------------------------------------------------------------ #
     # prediction front door
@@ -690,9 +685,10 @@ class SvdPlan:
 
     Construction resolves everything a solve of this shape needs beyond
     the numerics: the padded problem size and tile grid, the capacity
-    check, a reusable padded workspace in storage precision, the emitted
-    :class:`~repro.sim.graph.LaunchGraph` of the static schedule, and its
-    full launch-price table (filled by pricing the graph analytically).
+    check, and the emitted :class:`~repro.sim.graph.LaunchGraph` of the
+    static schedule; square and rectangular plans add a reusable padded
+    workspace and the graph's full launch-price table, while batched
+    plans run the stacked replay of :meth:`Solver.solve`.
     :meth:`execute` then replays the cached graph with zero
     schedule-construction cost — results are bitwise identical to
     one-shot :meth:`Solver.solve` calls.
@@ -744,7 +740,17 @@ class SvdPlan:
         #: Tile-grid side of the square stage-1 problem.
         self.nbt = self.npad // ts
 
+        #: Shared launch-price memo (see ``Session.cost_cache``), filled
+        #: by pricing the cached graph(s) - the numeric replay requests
+        #: exactly these keys, so no cost-model arithmetic remains on the
+        #: solve path (batched replays trace nothing, so theirs is empty).
+        self._cost_cache: dict = {}
+        self.mpad = self.npad
         # capacity is checked once, exactly as the per-call drivers would
+        if self.kind == "batched":
+            check_batched_capacity(n, self.batch, config)
+            self._graph = batched_graph(n, self.batch, config)
+            return
         if self.kind == "rect":
             config.backend.check_capacity(int(np.sqrt(m * n)) + 1, storage)
             self.mpad = ntiles(m, ts) * ts
@@ -757,25 +763,18 @@ class SvdPlan:
             )
         else:
             config.backend.check_capacity(n, storage)
-            self.mpad = self.npad
             self._workspace = np.zeros(
                 (self.npad, self.npad), dtype=storage.dtype
             )
             self._square_workspace = None
 
         #: The emitted launch graph of the planned (square) solve; rect
-        #: plans additionally cache the tall-QR preprocessing graph, and
-        #: batched plans replay the square graph once per matrix.
+        #: plans additionally cache the tall-QR preprocessing graph.
         self._graph = emit_svd_graph(self.n, config)
         self._prep_graph = (
             emit_tallqr_graph(self.m, self.n, config)
             if self.kind == "rect" else None
         )
-        #: Shared launch-price memo (see ``Session.cost_cache``), filled
-        #: by pricing the cached graph(s) - the numeric replay requests
-        #: exactly these keys, so no cost-model arithmetic remains on the
-        #: solve path.
-        self._cost_cache: dict = {}
         pricer = AnalyticExecutor(config, storage, cache=self._cost_cache)
         self._square_breakdown = pricer.run(self._graph)
         self._prep_breakdown = (
@@ -832,12 +831,7 @@ class SvdPlan:
         """
         if self.kind == "batched":
             return svdvals_batched_resolved(
-                A,
-                self.config,
-                return_info=return_info,
-                workspace=self._workspace,
-                cost_cache=self._cost_cache,
-                graph=self._graph,
+                A, self.config, return_info=return_info
             )
         A = np.asarray(A)
         if self.kind == "square":

@@ -39,6 +39,22 @@ class TestNumerics:
         with pytest.raises(ShapeError):
             svdvals_batched([np.zeros((4, 4)), np.zeros((5, 5))])
 
+    @pytest.mark.parametrize("return_info", [False, True])
+    def test_stack_capacity_checked_before_numerics(self, return_info):
+        """The whole stack is resident at once, so the batch is checked
+        against device memory before any allocation or numerics, with or
+        without return_info.  One small array repeated keeps the test
+        cheap; NaN entries prove no finiteness check ran first."""
+        A = np.full((1024, 1024), np.nan, dtype=np.float32)
+        mats = [A] * 2000  # 2000 x 4 MiB x 1.25 > the rtx4060's 8 GiB
+        with pytest.raises(CapacityError, match="batch of 2000"):
+            svdvals_batched(
+                mats, backend="rtx4060", precision="fp32",
+                return_info=return_info,
+            )
+        with pytest.raises(CapacityError, match="batch of 2000"):
+            Solver("rtx4060", "fp32").plan((2000, 1024, 1024))
+
     def test_info_is_batched_breakdown(self, rng):
         As = rng.standard_normal((3, 32, 32))
         _, bd = svdvals_batched(As, return_info=True)

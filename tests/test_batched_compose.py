@@ -24,6 +24,7 @@ from repro.core.batched import (
     emit_batched_graph,
     replay_batched_graph,
 )
+from repro.core.svd import _rescale_factor
 from repro.errors import CapacityError, ShapeError, WindowOverflowError
 from repro.sim.graph import problem_range, rekey_batched
 from repro.sim.outofcore import rewrite_out_of_core
@@ -296,6 +297,68 @@ class TestBatchedReplay:
         og.oc_capacity_problems = 1  # declared window no longer fits loads
         with pytest.raises(WindowOverflowError):
             replay_batched_graph(As, og, cfg)
+
+    #: case -> (handle kwargs, input dtype, input scale, n).  fp16 on the
+    #: h100 computes in fp32, where fused and unfused kernels give
+    #: different bytes from three tiles on (n=72), so the unfused case
+    #: pins that a fused=False handle replays unfused kernels.
+    STACKED = {
+        "fp16": ({"backend": "h100", "precision": "fp16"}, np.float16, 1.0, 72),
+        "fp16-rescaled": (
+            {"backend": "h100", "precision": "fp16"}, np.float16, 100.0, 40
+        ),
+        "fp16-unfused": (
+            {"backend": "h100", "precision": "fp16", "fused": False},
+            np.float16, 1.0, 72,
+        ),
+        "fp32": ({"backend": "h100", "precision": "fp32"}, np.float32, 1.0, 40),
+        "fp64": ({"backend": "mi250", "precision": "fp64"}, np.float64, 1.0, 40),
+        "unpinned": ({"backend": "h100"}, np.float32, 1.0, 40),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STACKED))
+    def test_stacked_solve_bitwise(self, rng, case):
+        """Solver.solve on a stack (array or list) == per-matrix 2-D solves."""
+        kwargs, dtype, scale, n = self.STACKED[case]
+        s = Solver(**kwargs)
+        As = (scale * rng.standard_normal((4, n, n))).astype(dtype)
+        if scale != 1.0:  # the case must take the rescale path
+            assert _rescale_factor(As[0], s.precision) != 1.0
+        ref = self.reference(s, As)
+        np.testing.assert_array_equal(s.solve(As), ref)
+        np.testing.assert_array_equal(s.solve(list(As)), ref)
+
+    def test_stack_chases_stage2_once(self, rng, solver, monkeypatch):
+        """A 16-matrix solve runs one stacked stage-2 chase, not 16."""
+        import repro.core.brd as brd
+
+        calls = []
+        chase = brd.band_to_bidiagonal
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return chase(*args, **kwargs)
+
+        monkeypatch.setattr(brd, "band_to_bidiagonal", counted)
+        solver.solve(self.stack(rng, batch=16, n=64))
+        assert len(calls) == 1
+
+    def test_mixed_orders_of_one_shape_class(self, rng, solver):
+        """The replay serves any n_i that pads to the graph's npad."""
+        mats = [
+            rng.standard_normal((n, n)).astype(np.float32)
+            for n in (33, 40, 64)
+        ]
+        graph = emit_batched_graph(64, 3, solver.config)
+        got = replay_batched_graph(mats, graph, solver.config)
+        assert [v.shape for v in got] == [(33,), (40,), (64,)]
+        for vals, a in zip(got, mats):
+            np.testing.assert_array_equal(vals, solver.solve(a))
+        with pytest.raises(ShapeError, match="npad"):
+            replay_batched_graph(
+                mats[:2] + [np.eye(65, dtype=np.float32)], graph,
+                solver.config,
+            )
 
     def test_graph_mismatch_rejected(self, rng, solver):
         As = self.stack(rng, batch=4)

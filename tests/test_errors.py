@@ -1,7 +1,11 @@
 """Tests for the exception hierarchy."""
 
+import re
+
+import numpy as np
 import pytest
 
+from repro import Solver
 from repro.errors import (
     CapacityError,
     ConvergenceError,
@@ -151,3 +155,38 @@ class TestNonIntegerArguments:
     def test_plan_shape_tuple(self, solver):
         with pytest.raises(ShapeError, match="must be an integer"):
             solver.plan((64, 64.0))
+
+
+class TestInputDtypes:
+    """Non-real inputs raise a typed error at every numeric front door."""
+
+    @pytest.mark.parametrize("dtype", ["complex64", "complex128", "O", "U8"])
+    def test_non_real_dtypes_rejected(self, dtype):
+        square = np.eye(32).astype(dtype)
+        rect = np.ones((40, 20)).astype(dtype)
+        solver, auto = Solver("h100", "fp32"), Solver("h100")
+        calls = [
+            lambda: solver.solve(square),
+            lambda: auto.solve(square),
+            lambda: solver.solve(square[None].repeat(2, 0)),
+            lambda: solver.solve(rect),
+            lambda: solver.svd(square),
+            lambda: solver.eigh(square),
+            lambda: solver.svd_lowrank(rect, 4),
+        ]
+        for call in calls:
+            with pytest.raises(
+                UnsupportedPrecisionError, match=re.escape(str(np.dtype(dtype)))
+            ):
+                call()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.bool_])
+    def test_integer_and_bool_inputs_still_solve(self, dtype):
+        A = (np.arange(64).reshape(8, 8) % 3).astype(dtype)
+        ref = np.linalg.svd(A.astype(np.float64), compute_uv=False)
+        got = Solver("h100").solve(A)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
+
+    def test_ragged_stack(self):
+        with pytest.raises(ShapeError, match="square and equal-size"):
+            Solver("h100", "fp32").solve([np.eye(4), np.eye(5)])

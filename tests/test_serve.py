@@ -12,7 +12,12 @@ import pytest
 import repro
 
 from repro import ShedError, Solver
-from repro.errors import CapacityError, InvalidParamsError, ShapeError
+from repro.errors import (
+    CapacityError,
+    InvalidParamsError,
+    ShapeError,
+    UnsupportedPrecisionError,
+)
 from repro.serve import (
     AdmissionController,
     Batch,
@@ -166,6 +171,8 @@ class TestSubmitValidation:
                 bad = np.full((8, 8), np.nan)
                 with pytest.raises(ShapeError):
                     await svc.submit(bad)
+                with pytest.raises(UnsupportedPrecisionError, match="complex"):
+                    await svc.submit(np.eye(8, dtype=complex))
                 with pytest.raises(InvalidParamsError):
                     await svc.submit(rng.standard_normal((8, 8)), slo_s=0.0)
 

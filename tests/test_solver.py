@@ -221,14 +221,29 @@ class TestPlan:
         assert info2.simulated_seconds == pytest.approx(info1.simulated_seconds)
         assert info2.launch_counts == info1.launch_counts
 
-    def test_batched_plan(self, rng, solver):
-        As = rng.standard_normal((5, 32, 32)).astype(np.float32)
-        plan = solver.plan((5, 32, 32))
-        np.testing.assert_array_equal(plan.execute(As), solver.solve(As))
-        # a batched plan accepts any batch count of the planned order
-        np.testing.assert_array_equal(
-            plan.execute(As[:2]), solver.solve(As[:2])
-        )
+    @pytest.mark.parametrize(
+        "kwargs,dtype,scale,n",
+        [
+            ({"precision": "fp16"}, np.float16, 1.0, 40),
+            ({"precision": "fp16"}, np.float16, 100.0, 40),
+            # three tiles: where fused and unfused fp16 bytes differ
+            ({"precision": "fp16", "fused": False}, np.float16, 1.0, 72),
+            ({"precision": "fp32"}, np.float32, 1.0, 32),
+            ({"precision": "fp64"}, np.float64, 1.0, 40),
+        ],
+        ids=["fp16", "fp16-rescaled", "fp16-unfused", "fp32", "fp64"],
+    )
+    def test_batched_plan(self, rng, kwargs, dtype, scale, n):
+        s = Solver(backend="h100", **kwargs)
+        As = (scale * rng.standard_normal((5, n, n))).astype(dtype)
+        singles = np.stack([s.solve(a) for a in As])
+        plan = s.plan((5, n, n))
+        np.testing.assert_array_equal(plan.execute(As), singles)
+        np.testing.assert_array_equal(s.solve(As), singles)
+        # a batched plan accepts any batch count of the planned order,
+        # as an array or a list
+        np.testing.assert_array_equal(plan.execute(As[:2]), singles[:2])
+        np.testing.assert_array_equal(plan.execute(list(As[:3])), singles[:3])
 
     def test_rect_plan(self, rng, solver):
         A = rng.standard_normal((80, 40)).astype(np.float32)
